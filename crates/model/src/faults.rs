@@ -23,7 +23,7 @@
 //! construction.
 
 use crate::env::Environment;
-use crate::variation::{hash_coords, ParamId, VariationSampler};
+use crate::variation::{hash_coords, ParamId, ParamLanes, VariationSampler};
 
 /// Salt mixed into the die seed so the fault sampler never aliases the
 /// process-variation sampler even for identical `(param, coords)`.
@@ -200,32 +200,27 @@ impl FaultPlan {
         self.config.enabled()
     }
 
+    /// The cell-fault membership of one row, its coordinates hashed once
+    /// per fault class — how a materialized row samples its stuck and
+    /// weak cells.
+    pub fn row(&self, bank: usize, sub: usize, row: usize) -> RowFaults<'_> {
+        let prefix = [bank as u64, sub as u64, row as u64];
+        RowFaults {
+            config: &self.config,
+            stuck: self.sampler.lanes(ParamId::FaultStuckCell, &prefix),
+            stuck_value: self.sampler.lanes(ParamId::FaultStuckValue, &prefix),
+            weak: self.sampler.lanes(ParamId::FaultWeakCell, &prefix),
+        }
+    }
+
     /// The rail a cell is stuck at, or `None` for a healthy cell.
-    ///
-    /// Membership uses `uniform < density`, so raising the density only
-    /// grows the stuck set (never moves it).
     pub fn stuck_at(&self, bank: usize, sub: usize, row: usize, col: usize) -> Option<bool> {
-        if self.config.stuck_density <= 0.0 {
-            return None;
-        }
-        let coords = [bank as u64, sub as u64, row as u64, col as u64];
-        if self.sampler.uniform(ParamId::FaultStuckCell, &coords) < self.config.stuck_density {
-            Some(
-                self.sampler
-                    .bernoulli(ParamId::FaultStuckValue, &coords, 0.5),
-            )
-        } else {
-            None
-        }
+        self.row(bank, sub, row).stuck_at(col)
     }
 
     /// Whether a cell is weak (reduced capacitance, fast leakage).
     pub fn is_weak(&self, bank: usize, sub: usize, row: usize, col: usize) -> bool {
-        self.config.weak_density > 0.0
-            && self.sampler.uniform(
-                ParamId::FaultWeakCell,
-                &[bank as u64, sub as u64, row as u64, col as u64],
-            ) < self.config.weak_density
+        self.row(bank, sub, row).is_weak(col)
     }
 
     /// The transient flip probability of one column's sense amplifier:
@@ -276,6 +271,43 @@ impl FaultPlan {
     /// and restore across a fault window, falling back to a live replay.
     pub fn excursion_overlaps(&self, a: u64, b: u64) -> bool {
         self.windows.iter().any(|w| w.overlaps(a, b))
+    }
+}
+
+/// One row's cell-fault membership ([`FaultPlan::row`]).
+#[derive(Debug, Clone, Copy)]
+pub struct RowFaults<'a> {
+    config: &'a FaultConfig,
+    stuck: ParamLanes,
+    stuck_value: ParamLanes,
+    weak: ParamLanes,
+}
+
+impl RowFaults<'_> {
+    /// The configuration of the plan the row belongs to.
+    pub fn config(&self) -> &FaultConfig {
+        self.config
+    }
+
+    /// The rail the cell in column `col` is stuck at, or `None`.
+    ///
+    /// Membership uses `uniform < density`, so raising the density only
+    /// grows the stuck set (never moves it).
+    pub fn stuck_at(&self, col: usize) -> Option<bool> {
+        if self.config.stuck_density <= 0.0 {
+            return None;
+        }
+        let lane = col as u64;
+        if self.stuck.uniform(lane) < self.config.stuck_density {
+            Some(self.stuck_value.bernoulli(lane, 0.5))
+        } else {
+            None
+        }
+    }
+
+    /// Whether the cell in column `col` is weak.
+    pub fn is_weak(&self, col: usize) -> bool {
+        self.config.weak_density > 0.0 && self.weak.uniform(col as u64) < self.config.weak_density
     }
 }
 
@@ -369,6 +401,29 @@ mod tests {
             }
         }
         assert!(lo_count > 0, "density 0.02 over 4096 cells found nothing");
+    }
+
+    #[test]
+    fn row_lanes_draw_at_the_full_coordinates() {
+        let plan = FaultPlan::new(17, dense_config());
+        let row = plan.row(1, 0, 6);
+        let mut stuck = 0;
+        for col in 0..512usize {
+            let coords = [1, 0, 6, col as u64];
+            let expect =
+                (plan.sampler.uniform(ParamId::FaultStuckCell, &coords) < 0.05).then(|| {
+                    plan.sampler
+                        .bernoulli(ParamId::FaultStuckValue, &coords, 0.5)
+                });
+            stuck += usize::from(expect.is_some());
+            assert_eq!(row.stuck_at(col), expect, "col {col}");
+            assert_eq!(
+                row.is_weak(col),
+                plan.sampler.uniform(ParamId::FaultWeakCell, &coords) < 0.1,
+                "col {col}"
+            );
+        }
+        assert!(stuck > 0, "no stuck cell in 512 at density 0.05");
     }
 
     #[test]

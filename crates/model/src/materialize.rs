@@ -18,12 +18,20 @@
 //!
 //! **Determinism argument.** Caching cannot change any simulated value:
 //! the buffers hold the same `f64`/`f32` bit patterns the direct
-//! [`Silicon`] calls return (the builders call those very functions),
-//! and the stateful temporal-noise RNG is never involved. The cache is
-//! keyed off the silicon seed — asking it about a chip with a different
-//! seed drops every buffer and rebuilds, so stale statics can never
-//! leak across chips. Experiment stdout is byte-identical with or
-//! without the cache; only wall time changes.
+//! [`Silicon`] calls return (the builders walk the very samplers those
+//! calls wrap), and the stateful temporal-noise RNG is never involved.
+//! The cache is keyed off the silicon seed — asking it about a chip with
+//! a different seed drops every buffer and rebuilds, so stale statics
+//! can never leak across chips. Experiment stdout is byte-identical with
+//! or without the cache; only wall time changes.
+//!
+//! **First touch.** A build walks one of the silicon's lane-hoisted
+//! samplers ([`Silicon::row_sampler`], [`Silicon::col_sampler`],
+//! [`Silicon::slot_sampler`]): each parameter's leading coordinates are
+//! hashed once per buffer, a column costs one hash round per parameter,
+//! and nothing is allocated but the buffer. A figure run spreads a build
+//! over thousands of events; a population die is new silicon, so its
+//! builds are a large share of its whole cost.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -38,8 +46,8 @@ use crate::variation::splitmix64;
 /// retention sweeps generate unbounded distinct exponent arguments.
 const EXP_MEMO_CAP: usize = 1 << 20;
 
-/// Initial exp-memo table size (slots). Grows by 4× as it fills so idle
-/// chips pay kilobytes, not megabytes.
+/// Exp-memo table size (slots) at its first insert. Grows by 4× as it
+/// fills so idle chips pay kilobytes, not megabytes.
 const EXP_MEMO_INITIAL: usize = 1 << 10;
 
 /// Cached decay-factor vectors are evicted wholesale past this count;
@@ -54,21 +62,14 @@ const DECAY_VEC_CAP: usize = 512;
 /// mantissa-adjacent keys; linear probing keeps a lookup to one or two
 /// adjacent cache lines — the `HashMap` this replaces spent more time
 /// hashing and chasing its control bytes than the `exp()` it saved.
-#[derive(Debug, Clone)]
+///
+/// The first probe allocates the table, so a fresh cache (one per chip
+/// built) allocates nothing until leakage needs it.
+#[derive(Debug, Clone, Default)]
 struct ExpMemo {
     keys: Box<[u64]>,
     vals: Box<[f64]>,
     filled: usize,
-}
-
-impl Default for ExpMemo {
-    fn default() -> Self {
-        ExpMemo {
-            keys: vec![0u64; EXP_MEMO_INITIAL].into(),
-            vals: vec![0f64; EXP_MEMO_INITIAL].into(),
-            filled: 0,
-        }
-    }
 }
 
 impl ExpMemo {
@@ -76,6 +77,10 @@ impl ExpMemo {
     /// inserting on miss. Returns `(value, was_hit)`.
     fn probe(&mut self, key: u64) -> (f64, bool) {
         debug_assert_ne!(key, 0, "+0.0 is answered before the table");
+        if self.keys.is_empty() {
+            self.keys = vec![0u64; EXP_MEMO_INITIAL].into();
+            self.vals = vec![0f64; EXP_MEMO_INITIAL].into();
+        }
         let mask = self.keys.len() - 1;
         let mut slot = (splitmix64(key) as usize) & mask;
         loop {
@@ -307,11 +312,12 @@ impl MaterializeCache {
         let mut temp_coeff = Vec::with_capacity(cols);
         let mut anti = Vec::with_capacity(cols);
         let mut halfm_asym = Vec::with_capacity(cols);
+        let sampler = silicon.col_sampler(bank, sub);
         for col in 0..cols {
-            offset.push(silicon.sense_offset(bank, sub, col).value());
-            temp_coeff.push(silicon.sense_temp_coeff(bank, sub, col));
-            anti.push(silicon.is_anti_column(bank, sub, col));
-            halfm_asym.push(silicon.halfm_asymmetry(bank, sub, col).value());
+            offset.push(sampler.sense_offset(col).value());
+            temp_coeff.push(sampler.sense_temp_coeff(col));
+            anti.push(sampler.is_anti_column(col));
+            halfm_asym.push(sampler.halfm_asymmetry(col).value());
         }
         self.cols.insert(
             (bank, sub),
@@ -352,8 +358,9 @@ impl MaterializeCache {
             return;
         }
         perf.cache_misses += 1;
+        let sampler = silicon.slot_sampler(bank, sub, slot);
         let w: Vec<f32> = (0..cols)
-            .map(|col| silicon.share_weight(bank, sub, slot, col) as f32)
+            .map(|col| sampler.share_weight(col) as f32)
             .collect();
         self.weights.insert((bank, sub, slot), w.into());
     }
@@ -391,14 +398,15 @@ impl MaterializeCache {
         let mut inject = Vec::with_capacity(cols);
         let mut vrt = Vec::new();
         let mut stuck = Vec::new();
+        let cells = silicon.row_sampler(bank, sub, row);
         for col in 0..cols {
-            cap.push(silicon.cell_capacitance(bank, sub, row, col).value() as f32);
-            tau20.push(silicon.leak_tau(bank, sub, row, col).value() as f32);
-            inject.push(silicon.cell_inject(bank, sub, row, col).value());
-            if silicon.is_vrt(bank, sub, row, col) {
+            cap.push(cells.cell_capacitance(col).value() as f32);
+            tau20.push(cells.leak_tau(col).value() as f32);
+            inject.push(cells.cell_inject(col).value());
+            if cells.is_vrt(col) {
                 vrt.push(col as u32);
             }
-            if let Some(rail) = silicon.stuck_at(bank, sub, row, col) {
+            if let Some(rail) = cells.stuck_at(col) {
                 stuck.push((col as u32) << 1 | rail as u32);
             }
         }

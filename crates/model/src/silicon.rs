@@ -5,11 +5,18 @@
 //! is the leakage time constant of cell (bank 3, sub-array 1, row 40,
 //! column 17)?". Every answer is a pure function of the chip seed and the
 //! coordinates — identical across calls, distinct across chips.
+//!
+//! Whole buffers are sampled through the lane-hoisted samplers
+//! ([`Silicon::row_sampler`], [`Silicon::col_sampler`],
+//! [`Silicon::slot_sampler`]), which hash each parameter's leading
+//! coordinates once, so a column costs one hash round per parameter.
+//! The per-coordinate methods wrap the same samplers, so every parameter
+//! is shaped in one place.
 
-use crate::faults::FaultPlan;
+use crate::faults::{FaultPlan, RowFaults};
 use crate::params::DeviceParams;
 use crate::units::{Femtofarads, Seconds, Volts};
-use crate::variation::{ParamId, VariationSampler};
+use crate::variation::{ParamId, ParamLanes, VariationSampler};
 use crate::vendor::VendorProfile;
 
 /// Static parameter oracle for one chip.
@@ -73,47 +80,65 @@ impl Silicon {
         &self.profile
     }
 
+    /// The per-cell statics of one row, each parameter's
+    /// `(bank, sub-array, row)` prefix hashed once.
+    pub fn row_sampler(&self, bank: usize, sub: usize, row: usize) -> RowSampler<'_> {
+        let prefix = [bank as u64, sub as u64, row as u64];
+        RowSampler {
+            silicon: self,
+            cap: self.sampler.lanes(ParamId::CellCapacitance, &prefix),
+            tau: self.sampler.lanes(ParamId::LeakageTau, &prefix),
+            inject: self.sampler.lanes(ParamId::CellInject, &prefix),
+            vrt: self.sampler.lanes(ParamId::VrtFlag, &prefix),
+            faults: self.faults.as_ref().map(|p| p.row(bank, sub, row)),
+        }
+    }
+
+    /// The per-column statics of one sub-array, each parameter's
+    /// `(bank, sub-array)` prefix hashed once.
+    pub fn col_sampler(&self, bank: usize, sub: usize) -> ColSampler<'_> {
+        let prefix = [bank as u64, sub as u64];
+        ColSampler {
+            silicon: self,
+            offset: self.sampler.lanes(ParamId::SenseOffset, &prefix),
+            temp_coeff: self.sampler.lanes(ParamId::SenseTempCoeff, &prefix),
+            polarity: self.sampler.lanes(ParamId::Polarity, &prefix),
+            halfm: self.sampler.lanes(ParamId::HalfmAsymmetry, &prefix),
+        }
+    }
+
+    /// The share weights of activation-role `slot` in one sub-array, the
+    /// `(bank, sub-array, slot)` prefix hashed once.
+    pub fn slot_sampler(&self, bank: usize, sub: usize, slot: usize) -> SlotSampler {
+        SlotSampler {
+            weight: self.sampler.lanes(
+                ParamId::RowShareWeight,
+                &[bank as u64, sub as u64, slot as u64],
+            ),
+            mean: self
+                .profile
+                .row_weight_means
+                .get(slot)
+                .copied()
+                .unwrap_or(1.0),
+            sigma: self.params.share_weight_sigma,
+        }
+    }
+
     /// Capacitance of one cell.
     pub fn cell_capacitance(&self, bank: usize, sub: usize, row: usize, col: usize) -> Femtofarads {
-        let rel = self.sampler.normal(
-            ParamId::CellCapacitance,
-            &[bank as u64, sub as u64, row as u64, col as u64],
-            1.0,
-            self.params.cell_cap_rel_sigma,
-        );
-        // Clamp: capacitance cannot be negative or wildly off.
-        let cap = self.params.cell_cap * rel.clamp(0.5, 1.5);
-        match &self.faults {
-            Some(p) if p.is_weak(bank, sub, row, col) => cap * p.config().weak_cap_factor,
-            _ => cap,
-        }
+        self.row_sampler(bank, sub, row).cell_capacitance(col)
     }
 
     /// Leakage time constant of one cell at 20 °C (before environmental
     /// scaling), including the group's retention flavor.
     pub fn leak_tau(&self, bank: usize, sub: usize, row: usize, col: usize) -> Seconds {
-        let tau = self.sampler.lognormal(
-            ParamId::LeakageTau,
-            &[bank as u64, sub as u64, row as u64, col as u64],
-            self.params.leak_tau_median.value(),
-            self.params.leak_tau_sigma_ln,
-        );
-        let scaled = tau * self.profile.leak_tau_scale;
-        match &self.faults {
-            Some(p) if p.is_weak(bank, sub, row, col) => {
-                Seconds(scaled * p.config().weak_tau_factor)
-            }
-            _ => Seconds(scaled),
-        }
+        self.row_sampler(bank, sub, row).leak_tau(col)
     }
 
     /// Whether the cell exhibits variable retention time.
     pub fn is_vrt(&self, bank: usize, sub: usize, row: usize, col: usize) -> bool {
-        self.sampler.bernoulli(
-            ParamId::VrtFlag,
-            &[bank as u64, sub as u64, row as u64, col as u64],
-            self.params.vrt_fraction,
-        )
+        self.row_sampler(bank, sub, row).is_vrt(col)
     }
 
     /// The leakage tau effective for a VRT cell during the epoch that
@@ -144,42 +169,19 @@ impl Silicon {
     /// Static input-referred offset of a column's sense amplifier,
     /// including the group-wide bias that shapes the PUF Hamming weight.
     pub fn sense_offset(&self, bank: usize, sub: usize, col: usize) -> Volts {
-        Volts(self.sampler.normal(
-            ParamId::SenseOffset,
-            &[bank as u64, sub as u64, col as u64],
-            self.profile.sense_offset_mean.value(),
-            self.params.sense_offset_sigma.value(),
-        ))
+        self.col_sampler(bank, sub).sense_offset(col)
     }
 
     /// Temperature coefficient of a column's sense offset (V per °C).
     pub fn sense_temp_coeff(&self, bank: usize, sub: usize, col: usize) -> f64 {
-        self.sampler.normal(
-            ParamId::SenseTempCoeff,
-            &[bank as u64, sub as u64, col as u64],
-            0.0,
-            self.params.sense_temp_coeff_sigma,
-        )
+        self.col_sampler(bank, sub).sense_temp_coeff(col)
     }
 
     /// Charge-sharing weight of activation-role `slot` (0 = R1, 1 = R2,
     /// ...) for a column during multi-row activation. Values below 0.05
     /// are clamped; a word-line cannot contribute negative charge.
     pub fn share_weight(&self, bank: usize, sub: usize, slot: usize, col: usize) -> f64 {
-        let mean = self
-            .profile
-            .row_weight_means
-            .get(slot)
-            .copied()
-            .unwrap_or(1.0);
-        self.sampler
-            .normal(
-                ParamId::RowShareWeight,
-                &[bank as u64, sub as u64, slot as u64, col as u64],
-                mean,
-                self.params.share_weight_sigma,
-            )
-            .max(0.05)
+        self.slot_sampler(bank, sub, slot).share_weight(col)
     }
 
     /// Static charge-injection offset of one cell (cell-level volts):
@@ -187,35 +189,145 @@ impl Silicon {
     /// to the bit-line. Per (bank, sub-array, row, column) — the
     /// row-dependent entropy of the Frac-PUF.
     pub fn cell_inject(&self, bank: usize, sub: usize, row: usize, col: usize) -> Volts {
-        Volts(self.sampler.normal(
-            ParamId::CellInject,
-            &[bank as u64, sub as u64, row as u64, col as u64],
-            0.0,
-            self.params.cell_inject_sigma.value(),
-        ))
+        self.row_sampler(bank, sub, row).cell_inject(col)
     }
 
     /// Whether a column of a sub-array is wired as anti-cells (cells on
     /// the reference side of the sense amplifier; physical `Vdd` reads as
     /// logical zero).
     pub fn is_anti_column(&self, bank: usize, sub: usize, col: usize) -> bool {
-        self.sampler.bernoulli(
-            ParamId::Polarity,
-            &[bank as u64, sub as u64, col as u64],
-            self.params.anti_cell_fraction,
-        )
+        self.col_sampler(bank, sub).is_anti_column(col)
     }
 
     /// Residual per-cell asymmetry the Half-m operation leaves on the
     /// "Half" columns (most columns do not land exactly at `Vdd/2`; the
     /// paper finds only ~16 % produce a clean distinguishable Half value).
     pub fn halfm_asymmetry(&self, bank: usize, sub: usize, col: usize) -> Volts {
-        Volts(self.sampler.normal(
-            ParamId::HalfmAsymmetry,
-            &[bank as u64, sub as u64, col as u64],
+        self.col_sampler(bank, sub).halfm_asymmetry(col)
+    }
+}
+
+/// The per-cell statics of one row ([`Silicon::row_sampler`]); each
+/// method is the [`Silicon`] method of the same name at column `col`.
+#[derive(Debug, Clone, Copy)]
+pub struct RowSampler<'a> {
+    silicon: &'a Silicon,
+    cap: ParamLanes,
+    tau: ParamLanes,
+    inject: ParamLanes,
+    vrt: ParamLanes,
+    faults: Option<RowFaults<'a>>,
+}
+
+impl RowSampler<'_> {
+    /// Capacitance of the cell in column `col`.
+    pub fn cell_capacitance(&self, col: usize) -> Femtofarads {
+        let params = &self.silicon.params;
+        let rel = self.cap.normal(col as u64, 1.0, params.cell_cap_rel_sigma);
+        // Clamp: capacitance cannot be negative or wildly off.
+        let cap = params.cell_cap * rel.clamp(0.5, 1.5);
+        match &self.faults {
+            Some(f) if f.is_weak(col) => cap * f.config().weak_cap_factor,
+            _ => cap,
+        }
+    }
+
+    /// Leakage time constant at 20 °C of the cell in column `col`.
+    pub fn leak_tau(&self, col: usize) -> Seconds {
+        let params = &self.silicon.params;
+        let tau = self.tau.lognormal(
+            col as u64,
+            params.leak_tau_median.value(),
+            params.leak_tau_sigma_ln,
+        );
+        let scaled = tau * self.silicon.profile.leak_tau_scale;
+        match &self.faults {
+            Some(f) if f.is_weak(col) => Seconds(scaled * f.config().weak_tau_factor),
+            _ => Seconds(scaled),
+        }
+    }
+
+    /// Whether the cell in column `col` exhibits variable retention time.
+    pub fn is_vrt(&self, col: usize) -> bool {
+        self.vrt
+            .bernoulli(col as u64, self.silicon.params.vrt_fraction)
+    }
+
+    /// Static charge-injection offset of the cell in column `col`.
+    pub fn cell_inject(&self, col: usize) -> Volts {
+        Volts(self.inject.normal(
+            col as u64,
             0.0,
-            self.params.halfm_asym_sigma.value(),
+            self.silicon.params.cell_inject_sigma.value(),
         ))
+    }
+
+    /// The rail the cell in column `col` is stuck at, or `None`.
+    pub fn stuck_at(&self, col: usize) -> Option<bool> {
+        self.faults.as_ref()?.stuck_at(col)
+    }
+}
+
+/// The per-column statics of one sub-array ([`Silicon::col_sampler`]);
+/// each method is the [`Silicon`] method of the same name at column
+/// `col`.
+#[derive(Debug, Clone, Copy)]
+pub struct ColSampler<'a> {
+    silicon: &'a Silicon,
+    offset: ParamLanes,
+    temp_coeff: ParamLanes,
+    polarity: ParamLanes,
+    halfm: ParamLanes,
+}
+
+impl ColSampler<'_> {
+    /// Static input-referred sense-amplifier offset of column `col`.
+    pub fn sense_offset(&self, col: usize) -> Volts {
+        Volts(self.offset.normal(
+            col as u64,
+            self.silicon.profile.sense_offset_mean.value(),
+            self.silicon.params.sense_offset_sigma.value(),
+        ))
+    }
+
+    /// Temperature coefficient of column `col`'s sense offset (V per °C).
+    pub fn sense_temp_coeff(&self, col: usize) -> f64 {
+        self.temp_coeff
+            .normal(col as u64, 0.0, self.silicon.params.sense_temp_coeff_sigma)
+    }
+
+    /// Whether column `col` is wired as anti-cells.
+    pub fn is_anti_column(&self, col: usize) -> bool {
+        self.polarity
+            .bernoulli(col as u64, self.silicon.params.anti_cell_fraction)
+    }
+
+    /// Raw Half-m closure asymmetry of column `col`.
+    pub fn halfm_asymmetry(&self, col: usize) -> Volts {
+        Volts(self.halfm.normal(
+            col as u64,
+            0.0,
+            self.silicon.params.halfm_asym_sigma.value(),
+        ))
+    }
+}
+
+/// The share weights of one activation-role slot
+/// ([`Silicon::slot_sampler`]).
+#[derive(Debug, Clone, Copy)]
+pub struct SlotSampler {
+    weight: ParamLanes,
+    mean: f64,
+    sigma: f64,
+}
+
+impl SlotSampler {
+    /// Charge-sharing weight of the slot's row in column `col`, clamped
+    /// below at 0.05 like [`Silicon::share_weight`].
+    pub fn share_weight(&self, col: usize) -> f64 {
+        self.weight
+            .normal(col as u64, self.mean, self.sigma)
+            .max(0.05)
     }
 }
 

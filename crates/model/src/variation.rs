@@ -37,13 +37,23 @@ pub fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Hashes a slice of coordinate words into a single well-mixed 64-bit value.
-pub fn hash_coords(words: &[u64]) -> u64 {
-    let mut acc: u64 = 0x51C6_4372_11E5_BEEF;
+/// Starting accumulator of [`hash_coords`].
+const HASH_INIT: u64 = 0x51C6_4372_11E5_BEEF;
+
+/// Folds `words` into a running [`hash_coords`] accumulator, one
+/// SplitMix round per word. The fold is sequential, so the accumulator
+/// after a shared prefix can be kept and extended word by word.
+#[inline]
+fn fold(mut acc: u64, words: &[u64]) -> u64 {
     for &w in words {
         acc = splitmix64(acc ^ w.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     }
-    splitmix64(acc)
+    acc
+}
+
+/// Hashes a slice of coordinate words into a single well-mixed 64-bit value.
+pub fn hash_coords(words: &[u64]) -> u64 {
+    splitmix64(fold(HASH_INIT, words))
 }
 
 /// Converts 64 random bits into a uniform `f64` in `[0, 1)`.
@@ -51,6 +61,15 @@ pub fn hash_coords(words: &[u64]) -> u64 {
 fn to_unit_f64(bits: u64) -> f64 {
     // Use the top 53 bits for a uniformly distributed mantissa.
     (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// Shapes 64 random bits into a standard normal: Box–Muller on the bits
+/// and a SplitMix re-mix of them.
+#[inline]
+fn box_muller(bits: u64) -> f64 {
+    let u1 = to_unit_f64(bits).max(1e-300);
+    let u2 = to_unit_f64(splitmix64(bits ^ 0xA5A5_A5A5_5A5A_5A5A));
+    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
 /// Identifiers for the distinct static parameters sampled per coordinate.
@@ -137,13 +156,22 @@ impl VariationSampler {
         self.seed
     }
 
-    /// Raw 64 mixed bits for a parameter at some coordinates.
+    /// Anchors `param` along its last coordinate: `prefix` (every
+    /// coordinate but the last) is folded into the hash once, and each
+    /// lane of the returned [`ParamLanes`] costs one more round. Lane `l`
+    /// draws exactly what the methods below draw at `[prefix.., l]`;
+    /// this is how whole rows and columns of statics are sampled.
+    pub fn lanes(&self, param: ParamId, prefix: &[u64]) -> ParamLanes {
+        ParamLanes {
+            acc: fold(fold(HASH_INIT, &[self.seed, param as u64]), prefix),
+        }
+    }
+
+    /// Raw 64 mixed bits for a parameter at some coordinates: the
+    /// [`hash_coords`] of `[seed, param, coords..]`, folded without
+    /// building the word list.
     pub fn bits(&self, param: ParamId, coords: &[u64]) -> u64 {
-        let mut words = Vec::with_capacity(coords.len() + 2);
-        words.push(self.seed);
-        words.push(param as u64);
-        words.extend_from_slice(coords);
-        hash_coords(&words)
+        splitmix64(self.lanes(param, coords).acc)
     }
 
     /// Uniform sample in `[0, 1)`.
@@ -158,10 +186,7 @@ impl VariationSampler {
 
     /// Standard normal sample (Box–Muller on two derived uniforms).
     pub fn standard_normal(&self, param: ParamId, coords: &[u64]) -> f64 {
-        let bits = self.bits(param, coords);
-        let u1 = to_unit_f64(bits).max(1e-300);
-        let u2 = to_unit_f64(splitmix64(bits ^ 0xA5A5_A5A5_5A5A_5A5A));
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+        box_muller(self.bits(param, coords))
     }
 
     /// Normal sample with mean `mu` and standard deviation `sigma`.
@@ -173,6 +198,47 @@ impl VariationSampler {
     /// deviation of the underlying normal (`sigma_ln`).
     pub fn lognormal(&self, param: ParamId, coords: &[u64], median: f64, sigma_ln: f64) -> f64 {
         median * (sigma_ln * self.standard_normal(param, coords)).exp()
+    }
+}
+
+/// One static parameter with every coordinate but the last already
+/// hashed ([`VariationSampler::lanes`]): each lane, usually a column,
+/// finishes the fold with one SplitMix round and the final mix.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ParamLanes {
+    acc: u64,
+}
+
+impl ParamLanes {
+    /// Raw 64 mixed bits of `lane`.
+    #[inline]
+    pub fn bits(&self, lane: u64) -> u64 {
+        splitmix64(fold(self.acc, &[lane]))
+    }
+
+    /// Uniform sample in `[0, 1)`.
+    #[inline]
+    pub fn uniform(&self, lane: u64) -> f64 {
+        to_unit_f64(self.bits(lane))
+    }
+
+    /// Bernoulli sample with probability `p` of `true`.
+    #[inline]
+    pub fn bernoulli(&self, lane: u64, p: f64) -> bool {
+        self.uniform(lane) < p
+    }
+
+    /// Normal sample with mean `mu` and standard deviation `sigma`.
+    #[inline]
+    pub fn normal(&self, lane: u64, mu: f64, sigma: f64) -> f64 {
+        mu + sigma * box_muller(self.bits(lane))
+    }
+
+    /// Log-normal sample parameterized by its median and the standard
+    /// deviation of the underlying normal (`sigma_ln`).
+    #[inline]
+    pub fn lognormal(&self, lane: u64, median: f64, sigma_ln: f64) -> f64 {
+        median * (sigma_ln * box_muller(self.bits(lane))).exp()
     }
 }
 
@@ -230,12 +296,9 @@ impl NoiseEngine {
     /// `[seed, purpose, t, coords...]` without building a slice.
     #[inline]
     pub fn event(&self, purpose: NoisePurpose, t: u64, coords: &[u64]) -> NoiseEvent {
-        let mut acc: u64 = 0x51C6_4372_11E5_BEEF;
-        for &w in [self.seed, purpose as u64, t].iter().chain(coords) {
-            acc = splitmix64(acc ^ w.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        }
+        let acc = fold(HASH_INIT, &[self.seed, purpose as u64, t]);
         NoiseEvent {
-            base: splitmix64(acc),
+            base: splitmix64(fold(acc, coords)),
         }
     }
 }
@@ -336,6 +399,33 @@ mod tests {
         let v2 = s.lognormal(ParamId::LeakageTau, &[0, 1, 2, 3], 10.0, 1.5);
         assert_eq!(v1, v2);
         assert!(v1 > 0.0);
+    }
+
+    #[test]
+    fn lanes_reproduce_the_full_coordinate_hash() {
+        // Hoisting the prefix must not move a single bit: every lane
+        // ends on the hash of the whole `[seed, param, coords..]` list.
+        let s = VariationSampler::new(0xC0FFEE);
+        let param = ParamId::CellInject;
+        let prefixes: [&[u64]; 3] = [&[], &[3], &[1, 2, 7]];
+        for prefix in prefixes {
+            let lanes = s.lanes(param, prefix);
+            for lane in [0u64, 1, 63, 8191] {
+                let coords = [prefix, &[lane]].concat();
+                let words = [&[0xC0FFEE, param as u64][..], &coords].concat();
+                assert_eq!(lanes.bits(lane), hash_coords(&words));
+                assert_eq!(s.bits(param, &coords), hash_coords(&words));
+                assert_eq!(lanes.bernoulli(lane, 0.3), s.bernoulli(param, &coords, 0.3));
+                assert_eq!(
+                    lanes.normal(lane, 0.5, 2.0).to_bits(),
+                    s.normal(param, &coords, 0.5, 2.0).to_bits()
+                );
+                assert_eq!(
+                    lanes.lognormal(lane, 20.0, 1.8).to_bits(),
+                    s.lognormal(param, &coords, 20.0, 1.8).to_bits()
+                );
+            }
+        }
     }
 
     #[test]
