@@ -352,7 +352,6 @@ impl Chip {
         let env = self.command_env(t);
         let b = &mut self.banks[bank];
         let sub_idx = b.active.ok_or(ModelError::BankClosed { bank })?;
-        let sub = &mut b.subarrays[sub_idx];
         let mut ctx = Ctx {
             silicon: &self.silicon,
             env: &env,
@@ -361,19 +360,10 @@ impl Chip {
             perf: &mut self.perf,
             cache: &mut self.cache,
         };
-        sub.read_into(&mut ctx, t, out)?;
-        ctx.cache.ensure_cols(
-            ctx.silicon,
-            &mut *ctx.perf,
-            bank,
-            sub_idx,
-            self.config.geometry.columns,
-        );
-        let anti = &ctx.cache.cols(bank, sub_idx).anti;
-        for (col, bit) in out.iter_mut().enumerate() {
-            if anti[col] {
-                *bit = !*bit;
-            }
+        b.subarrays[sub_idx].read_into(&mut ctx, t, out)?;
+        let anti = self.anti_columns(bank, sub_idx);
+        for (bit, &a) in out.iter_mut().zip(anti) {
+            *bit ^= a;
         }
         Ok(())
     }
@@ -388,9 +378,15 @@ impl Chip {
     pub fn write(&mut self, bank: usize, start_col: usize, bits: &[bool], t: u64) -> Result<()> {
         self.check_bank(bank)?;
         let env = self.command_env(t);
-        let b = &mut self.banks[bank];
-        let sub_idx = b.active.ok_or(ModelError::BankClosed { bank })?;
-        let sub = &mut b.subarrays[sub_idx];
+        let sub_idx = self.banks[bank]
+            .active
+            .ok_or(ModelError::BankClosed { bank })?;
+        let anti = self.anti_columns(bank, sub_idx);
+        let physical: Vec<bool> = bits
+            .iter()
+            .enumerate()
+            .map(|(i, &bit)| bit ^ anti[start_col + i])
+            .collect();
         let mut ctx = Ctx {
             silicon: &self.silicon,
             env: &env,
@@ -399,20 +395,7 @@ impl Chip {
             perf: &mut self.perf,
             cache: &mut self.cache,
         };
-        ctx.cache.ensure_cols(
-            ctx.silicon,
-            &mut *ctx.perf,
-            bank,
-            sub_idx,
-            self.config.geometry.columns,
-        );
-        let anti = &ctx.cache.cols(bank, sub_idx).anti;
-        let physical: Vec<bool> = bits
-            .iter()
-            .enumerate()
-            .map(|(i, &bit)| bit ^ anti[start_col + i])
-            .collect();
-        sub.write(&mut ctx, t, start_col, &physical)
+        self.banks[bank].subarrays[sub_idx].write(&mut ctx, t, start_col, &physical)
     }
 
     /// REFRESH: internally activates and restores every materialized row
@@ -518,10 +501,7 @@ impl Chip {
     /// anti-cell columns inverted, rails driven into the row buffer,
     /// bit-lines, and every open row at time `t_write`.
     pub fn rewrite_row(&mut self, bank: usize, sub: usize, bits: &[bool], t_write: u64) {
-        let cols = self.config.geometry.columns;
-        self.cache
-            .ensure_cols(&self.silicon, &mut self.perf, bank, sub, cols);
-        let anti = &self.cache.cols(bank, sub).anti;
+        let anti = self.anti_columns(bank, sub);
         let physical: Vec<bool> = bits
             .iter()
             .enumerate()
@@ -602,15 +582,17 @@ impl Chip {
     /// reverse-engineers this with retention tests; the simulation exposes
     /// it for validation.
     pub fn is_anti_column(&mut self, bank: usize, subarray: usize, col: usize) -> bool {
-        let mut ctx = Ctx {
-            silicon: &self.silicon,
-            env: &self.env,
-            timing: &self.timing,
-            noise: &self.noise,
-            perf: &mut self.perf,
-            cache: &mut self.cache,
-        };
-        self.banks[bank].subarrays[subarray].is_anti_column(&mut ctx, col)
+        self.anti_columns(bank, subarray)[col]
+    }
+
+    /// Ground-truth polarity of every column of a sub-array
+    /// (`true` = anti-cells), the buffer the read and write paths
+    /// invert logical bits with.
+    pub fn anti_columns(&mut self, bank: usize, subarray: usize) -> &[bool] {
+        let cols = self.config.geometry.columns;
+        self.cache
+            .ensure_cols(&self.silicon, &mut self.perf, bank, subarray, cols);
+        &self.cache.cols(bank, subarray).anti
     }
 
     /// The silicon parameter oracle (for experiment analysis).

@@ -10,10 +10,11 @@
 //! plain slices:
 //!
 //! - [`RowStatics`] per (bank, sub-array, row): cell capacitance,
-//!   leakage tau at 20 °C, charge-injection offset, VRT column list;
+//!   charge-injection offset and stuck cells, plus the leakage tau at
+//!   20 °C and the VRT column list;
 //! - [`ColStatics`] per (bank, sub-array): sense-amplifier offset,
-//!   its temperature coefficient, anti-cell polarity, and the Half-m
-//!   closure asymmetry;
+//!   anti-cell polarity, plus the offset's temperature coefficient and
+//!   the Half-m closure asymmetry;
 //! - per-slot multi-row share weights.
 //!
 //! **Determinism argument.** Caching cannot change any simulated value:
@@ -25,16 +26,22 @@
 //! can never leak across chips. Experiment stdout is byte-identical with
 //! or without the cache; only wall time changes.
 //!
-//! **First touch.** A build walks one of the silicon's lane-hoisted
-//! samplers ([`Silicon::row_sampler`], [`Silicon::col_sampler`],
-//! [`Silicon::slot_sampler`]): each parameter's leading coordinates are
-//! hashed once per buffer, a column costs one hash round per parameter,
-//! and nothing is allocated but the buffer. A figure run spreads a build
-//! over thousands of events; a population die is new silicon, so its
-//! builds are a large share of its whole cost.
+//! **First touch.** Each parameter buffer is built by the first event
+//! that reads it, not with the rest of its struct; [`RowStatics`] and
+//! [`ColStatics`] name the `ensure_*` that fills each field. Deferring a
+//! build cannot change a value: each buffer is a pure function of (die
+//! seed, parameter, coordinates, fault plan), so only the moment it is
+//! computed moves. A threshold built at exactly 20 °C skips the
+//! temperature coefficients: there `coeff × 0.0` is ±0, and adding ±0 to
+//! the non-zero `half + offset` leaves the threshold's bits unchanged. A
+//! build walks one of the silicon's lane-hoisted samplers
+//! ([`Silicon::row_sampler`], [`Silicon::col_sampler`],
+//! [`Silicon::slot_sampler`]), so a column costs one hash round per
+//! parameter and nothing is allocated but the buffer.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::chip::ChipConfig;
 use crate::env::Environment;
@@ -53,6 +60,41 @@ const EXP_MEMO_INITIAL: usize = 1 << 10;
 /// Cached decay-factor vectors are evicted wholesale past this count;
 /// each entry is one row's worth of `f64`s for one `(dt, scale)` pair.
 const DECAY_VEC_CAP: usize = 512;
+
+/// Multiply-rotate hasher for the cache's small integer-tuple keys.
+///
+/// Each word is folded in with one multiply by the 64-bit golden ratio
+/// and a rotate that brings the well-mixed high product bits down to
+/// the low bits the table indexes by. SipHash's flooding resistance buys
+/// nothing for coordinates the simulator generates itself, and nothing
+/// iterates these maps, so their order cannot reach any output.
+#[derive(Debug, Clone, Copy, Default)]
+struct CoordHasher(u64);
+
+impl Hasher for CoordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0 ^ word)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(29);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by cache coordinates, hashed with [`CoordHasher`].
+type CoordMap<K, V> = HashMap<K, V, BuildHasherDefault<CoordHasher>>;
 
 /// Flat open-addressing `exp()` memo.
 ///
@@ -143,6 +185,12 @@ pub struct SenseThresholds {
 }
 
 /// Static per-cell parameters of one row, as contiguous buffers.
+///
+/// [`MaterializeCache::ensure_row`] fills `cap`, `inject` and `stuck`;
+/// `tau20` and `vrt` stay empty until
+/// [`MaterializeCache::ensure_leak_statics`] fills them on the first
+/// leakage pass over a charged row (an empty `tau20` marks them unbuilt,
+/// since every row has columns).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RowStatics {
     /// Cell capacitance (fF), one entry per column.
@@ -159,6 +207,11 @@ pub struct RowStatics {
 }
 
 /// Static per-column parameters of one sub-array, as contiguous buffers.
+///
+/// [`MaterializeCache::ensure_cols`] fills `offset` and `anti`;
+/// `temp_coeff` stays empty until [`MaterializeCache::ensure_temp_coeffs`]
+/// (a refresh, or a threshold build away from 20 °C) and `halfm_asym`
+/// until [`MaterializeCache::ensure_halfm`] (a multi-row close).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColStatics {
     /// Sense-amplifier input-referred offset (volts).
@@ -180,16 +233,16 @@ type DecayKey = (usize, usize, usize, u64, u64);
 #[derive(Debug, Clone, Default)]
 pub struct MaterializeCache {
     seed: u64,
-    cols: HashMap<(usize, usize), Box<ColStatics>>,
-    weights: HashMap<(usize, usize, usize), Box<[f32]>>,
-    rows: HashMap<(usize, usize, usize), Box<RowStatics>>,
+    cols: CoordMap<(usize, usize), Box<ColStatics>>,
+    weights: CoordMap<(usize, usize, usize), Box<[f32]>>,
+    rows: CoordMap<(usize, usize, usize), Box<RowStatics>>,
     /// Final sense thresholds per sub-array, tagged by environment.
-    sense_th: HashMap<(usize, usize), Box<SenseThresholds>>,
+    sense_th: CoordMap<(usize, usize), Box<SenseThresholds>>,
     /// Per-column sense-flip fault rates per sub-array.
-    flip_rates: HashMap<(usize, usize), Box<[f64]>>,
+    flip_rates: CoordMap<(usize, usize), Box<[f64]>>,
     /// Decay-factor vectors: `exp(-dt / (tau20[col] * scale))` per
     /// column.
-    decay: HashMap<DecayKey, Box<[f64]>>,
+    decay: CoordMap<DecayKey, Box<[f64]>>,
     /// `exp(x)` keyed by `x.to_bits()`. Pure math — seed-independent, so
     /// `sync_seed` leaves it alone. Interior mutability lets the leakage
     /// kernel probe it while holding the row-statics borrow.
@@ -293,7 +346,9 @@ impl MaterializeCache {
         }
     }
 
-    /// Builds (on miss) the per-column statics of one sub-array.
+    /// Builds (on miss) the sense offsets and polarities of one
+    /// sub-array; the other [`ColStatics`] buffers stay empty until
+    /// their own `ensure_*` runs.
     pub fn ensure_cols(
         &mut self,
         silicon: &Silicon,
@@ -309,25 +364,59 @@ impl MaterializeCache {
         }
         perf.cache_misses += 1;
         let mut offset = Vec::with_capacity(cols);
-        let mut temp_coeff = Vec::with_capacity(cols);
         let mut anti = Vec::with_capacity(cols);
-        let mut halfm_asym = Vec::with_capacity(cols);
         let sampler = silicon.col_sampler(bank, sub);
         for col in 0..cols {
             offset.push(sampler.sense_offset(col).value());
-            temp_coeff.push(sampler.sense_temp_coeff(col));
             anti.push(sampler.is_anti_column(col));
-            halfm_asym.push(sampler.halfm_asymmetry(col).value());
         }
         self.cols.insert(
             (bank, sub),
             Box::new(ColStatics {
                 offset: offset.into(),
-                temp_coeff: temp_coeff.into(),
+                temp_coeff: Box::default(),
                 anti: anti.into(),
-                halfm_asym: halfm_asym.into(),
+                halfm_asym: Box::default(),
             }),
         );
+    }
+
+    /// [`MaterializeCache::ensure_cols`], then fills (on first call) the
+    /// sense-offset temperature coefficients of the sub-array.
+    pub fn ensure_temp_coeffs(
+        &mut self,
+        silicon: &Silicon,
+        perf: &mut ModelPerf,
+        bank: usize,
+        sub: usize,
+        cols: usize,
+    ) {
+        self.ensure_cols(silicon, perf, bank, sub, cols);
+        let statics = self.cols.get_mut(&(bank, sub)).expect("cols just ensured");
+        if statics.temp_coeff.is_empty() {
+            let sampler = silicon.col_sampler(bank, sub);
+            statics.temp_coeff = (0..cols).map(|col| sampler.sense_temp_coeff(col)).collect();
+        }
+    }
+
+    /// [`MaterializeCache::ensure_cols`], then fills (on first call) the
+    /// raw Half-m closure asymmetries of the sub-array.
+    pub fn ensure_halfm(
+        &mut self,
+        silicon: &Silicon,
+        perf: &mut ModelPerf,
+        bank: usize,
+        sub: usize,
+        cols: usize,
+    ) {
+        self.ensure_cols(silicon, perf, bank, sub, cols);
+        let statics = self.cols.get_mut(&(bank, sub)).expect("cols just ensured");
+        if statics.halfm_asym.is_empty() {
+            let sampler = silicon.col_sampler(bank, sub);
+            statics.halfm_asym = (0..cols)
+                .map(|col| sampler.halfm_asymmetry(col).value())
+                .collect();
+        }
     }
 
     /// The per-column statics of a sub-array; call
@@ -377,7 +466,9 @@ impl MaterializeCache {
             .expect("ensure_weights before weights")
     }
 
-    /// Builds (on miss) the per-cell statics of one row.
+    /// Builds (on miss) the capacitances, injection offsets and stuck
+    /// cells of one row; `tau20` and `vrt` stay empty until
+    /// [`MaterializeCache::ensure_leak_statics`] runs.
     pub fn ensure_row(
         &mut self,
         silicon: &Silicon,
@@ -394,18 +485,12 @@ impl MaterializeCache {
         }
         perf.cache_misses += 1;
         let mut cap = Vec::with_capacity(cols);
-        let mut tau20 = Vec::with_capacity(cols);
         let mut inject = Vec::with_capacity(cols);
-        let mut vrt = Vec::new();
         let mut stuck = Vec::new();
         let cells = silicon.row_sampler(bank, sub, row);
         for col in 0..cols {
             cap.push(cells.cell_capacitance(col).value() as f32);
-            tau20.push(cells.leak_tau(col).value() as f32);
             inject.push(cells.cell_inject(col).value());
-            if cells.is_vrt(col) {
-                vrt.push(col as u32);
-            }
             if let Some(rail) = cells.stuck_at(col) {
                 stuck.push((col as u32) << 1 | rail as u32);
             }
@@ -414,12 +499,44 @@ impl MaterializeCache {
             (bank, sub, row),
             Box::new(RowStatics {
                 cap: cap.into(),
-                tau20: tau20.into(),
+                tau20: Box::default(),
                 inject: inject.into(),
-                vrt: vrt.into(),
+                vrt: Box::default(),
                 stuck: stuck.into(),
             }),
         );
+    }
+
+    /// [`MaterializeCache::ensure_row`], then fills (on first call) the
+    /// row's leakage taus at 20 °C and its VRT column list.
+    pub fn ensure_leak_statics(
+        &mut self,
+        silicon: &Silicon,
+        perf: &mut ModelPerf,
+        bank: usize,
+        sub: usize,
+        row: usize,
+        cols: usize,
+    ) {
+        self.ensure_row(silicon, perf, bank, sub, row, cols);
+        let statics = self
+            .rows
+            .get_mut(&(bank, sub, row))
+            .expect("row just ensured");
+        if !statics.tau20.is_empty() {
+            return;
+        }
+        let mut tau20 = Vec::with_capacity(cols);
+        let mut vrt = Vec::new();
+        let cells = silicon.row_sampler(bank, sub, row);
+        for col in 0..cols {
+            tau20.push(cells.leak_tau(col).value() as f32);
+            if cells.is_vrt(col) {
+                vrt.push(col as u32);
+            }
+        }
+        statics.tau20 = tau20.into();
+        statics.vrt = vrt.into();
     }
 
     /// The per-cell statics of a row; call
@@ -454,7 +571,15 @@ impl MaterializeCache {
         cols: usize,
         env: &Environment,
     ) {
-        self.ensure_cols(silicon, perf, bank, sub, cols);
+        let temp_delta = env.temperature_c - 20.0;
+        // At exactly 20 °C every `coeff * temp_delta` is ±0, which leaves
+        // the non-zero `half + offset` bit-identical: the coefficients
+        // are not needed, so they are not sampled.
+        if temp_delta == 0.0 {
+            self.ensure_cols(silicon, perf, bank, sub, cols);
+        } else {
+            self.ensure_temp_coeffs(silicon, perf, bank, sub, cols);
+        }
         let temp_bits = env.temperature_c.to_bits();
         let vdd_bits = env.vdd.value().to_bits();
         if let Some(t) = self.sense_th.get(&(bank, sub)) {
@@ -468,12 +593,14 @@ impl MaterializeCache {
         let statics = self.cols.get(&(bank, sub)).expect("cols just ensured");
         let vdd = env.vdd.value();
         let half = params.half_vdd(env.vdd).value();
-        let temp_delta = env.temperature_c - 20.0;
         let vdd_shift = params.sense_vdd_coupling * (vdd - params.vdd_nominal.value());
         let mut th = Vec::with_capacity(cols);
         for col in 0..cols {
-            let temp_shift = statics.temp_coeff[col] * temp_delta;
-            let true_th = half + statics.offset[col] + temp_shift + vdd_shift;
+            let mut true_th = half + statics.offset[col];
+            if temp_delta != 0.0 {
+                true_th += statics.temp_coeff[col] * temp_delta;
+            }
+            true_th += vdd_shift;
             th.push(if statics.anti[col] {
                 vdd - true_th
             } else {
@@ -560,7 +687,7 @@ impl MaterializeCache {
         dt: f64,
         scale: f64,
     ) {
-        self.ensure_row(silicon, perf, bank, sub, row, cols);
+        self.ensure_leak_statics(silicon, perf, bank, sub, row, cols);
         let key = (bank, sub, row, dt.to_bits(), scale.to_bits());
         if self.decay.contains_key(&key) {
             perf.decay_vec_hits += 1;
@@ -644,8 +771,9 @@ mod tests {
         let s = silicon(9);
         let mut perf = ModelPerf::default();
         let mut cache = MaterializeCache::new(9);
-        cache.ensure_row(&s, &mut perf, 2, 0, 5, COLS);
-        cache.ensure_cols(&s, &mut perf, 2, 0, COLS);
+        cache.ensure_leak_statics(&s, &mut perf, 2, 0, 5, COLS);
+        cache.ensure_halfm(&s, &mut perf, 2, 0, COLS);
+        cache.ensure_temp_coeffs(&s, &mut perf, 2, 0, COLS);
         let row = cache.row(2, 0, 5);
         let cols = cache.cols(2, 0);
         for col in 0..COLS {
@@ -656,6 +784,7 @@ mod tests {
             );
             assert_eq!(row.tau20[col], s.leak_tau(2, 0, 5, col).value() as f32);
             assert_eq!(cols.offset[col], s.sense_offset(2, 0, col).value());
+            assert_eq!(cols.temp_coeff[col], s.sense_temp_coeff(2, 0, col));
             assert_eq!(cols.anti[col], s.is_anti_column(2, 0, col));
             assert_eq!(cols.halfm_asym[col], s.halfm_asymmetry(2, 0, col).value());
         }
@@ -667,13 +796,192 @@ mod tests {
         );
     }
 
+    /// One kernel-level first touch of a sub-array's statics, as the
+    /// event that performs it reaches the cache.
+    #[derive(Debug, Clone, Copy)]
+    enum Touch {
+        /// `fire_share`: the open row and the multi-row weights.
+        Share,
+        /// `leak_row` over a charged row.
+        Leak,
+        /// A multi-row `fire_close`.
+        Close,
+        /// `fire_sense` at this temperature (°C).
+        Threshold(f64),
+        /// `refresh_row`.
+        Refresh,
+    }
+
+    fn touch(cache: &mut MaterializeCache, s: &Silicon, at: (usize, usize, usize), step: Touch) {
+        let (bank, sub, row) = at;
+        let mut perf = ModelPerf::default();
+        match step {
+            Touch::Share => {
+                cache.ensure_row(s, &mut perf, bank, sub, row, COLS);
+                cache.ensure_weights(s, &mut perf, bank, sub, 1, COLS);
+            }
+            Touch::Leak => {
+                cache.ensure_decay_factors(s, &mut perf, bank, sub, row, COLS, 3.2e-3, 1.0);
+            }
+            Touch::Close => cache.ensure_halfm(s, &mut perf, bank, sub, COLS),
+            Touch::Threshold(temp) => {
+                let env = Environment::nominal().with_temperature(temp);
+                cache.ensure_sense_thresholds(s, &mut perf, bank, sub, COLS, &env);
+                let th = cache.sense_thresholds(bank, sub);
+                for (col, &got) in th.iter().enumerate() {
+                    let mut want = crate::sense_amp::threshold(
+                        s.params(),
+                        &env,
+                        s.sense_offset(bank, sub, col),
+                        s.sense_temp_coeff(bank, sub, col),
+                    );
+                    if s.is_anti_column(bank, sub, col) {
+                        want = crate::sense_amp::mirror_for_anti(want, &env);
+                    }
+                    assert_eq!(got.to_bits(), want.value().to_bits(), "{temp} °C col {col}");
+                }
+            }
+            Touch::Refresh => {
+                cache.ensure_temp_coeffs(s, &mut perf, bank, sub, COLS);
+                cache.ensure_row(s, &mut perf, bank, sub, row, COLS);
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_buffers_are_touch_order_independent() {
+        use crate::faults::{FaultConfig, FaultPlan};
+        use Touch::*;
+        let orders: [&[Touch]; 3] = [
+            &[
+                Share,
+                Leak,
+                Close,
+                Threshold(20.0),
+                Threshold(60.0),
+                Threshold(20.0),
+                Refresh,
+            ],
+            &[
+                Leak,
+                Share,
+                Threshold(20.0),
+                Threshold(60.0),
+                Threshold(20.0),
+                Close,
+                Refresh,
+            ],
+            &[
+                Refresh,
+                Threshold(60.0),
+                Close,
+                Threshold(20.0),
+                Leak,
+                Share,
+            ],
+        ];
+        let faulty = FaultConfig {
+            stuck_density: 0.05,
+            weak_density: 0.1,
+            ..FaultConfig::none()
+        };
+        for seed in [9u64, 1, 0xFEED] {
+            for group in [GroupId::B, GroupId::C, GroupId::D] {
+                for faults in [None, Some(faulty)] {
+                    let mut s = Silicon::new(seed, DeviceParams::default(), group.profile());
+                    s.set_faults(faults.map(|cfg| FaultPlan::new(seed, cfg)));
+                    for order in orders {
+                        let mut cache = MaterializeCache::new(seed);
+                        for at in [(2, 0, 5), (0, 1, 7)] {
+                            for &step in order {
+                                touch(&mut cache, &s, at, step);
+                            }
+                        }
+                        for (bank, sub, r) in [(2, 0, 5), (0, 1, 7)] {
+                            let row = cache.row(bank, sub, r);
+                            let cols = cache.cols(bank, sub);
+                            let weights = cache.weights(bank, sub, 1);
+                            #[allow(clippy::needless_range_loop)]
+                            for col in 0..COLS {
+                                let cap = s.cell_capacitance(bank, sub, r, col).value() as f32;
+                                let tau = s.leak_tau(bank, sub, r, col).value() as f32;
+                                let inject = s.cell_inject(bank, sub, r, col).value();
+                                let offset = s.sense_offset(bank, sub, col).value();
+                                let coeff = s.sense_temp_coeff(bank, sub, col);
+                                let halfm = s.halfm_asymmetry(bank, sub, col).value();
+                                let weight = s.share_weight(bank, sub, 1, col) as f32;
+                                assert_eq!(row.cap[col].to_bits(), cap.to_bits());
+                                assert_eq!(row.tau20[col].to_bits(), tau.to_bits());
+                                assert_eq!(row.inject[col].to_bits(), inject.to_bits());
+                                assert_eq!(cols.offset[col].to_bits(), offset.to_bits());
+                                assert_eq!(cols.temp_coeff[col].to_bits(), coeff.to_bits());
+                                assert_eq!(cols.halfm_asym[col].to_bits(), halfm.to_bits());
+                                assert_eq!(cols.anti[col], s.is_anti_column(bank, sub, col));
+                                assert_eq!(weights[col].to_bits(), weight.to_bits());
+                            }
+                            let vrt: Vec<u32> = (0..COLS)
+                                .filter(|&c| s.is_vrt(bank, sub, r, c))
+                                .map(|c| c as u32)
+                                .collect();
+                            let stuck: Vec<u32> = (0..COLS)
+                                .filter_map(|c| {
+                                    s.stuck_at(bank, sub, r, c)
+                                        .map(|rail| (c as u32) << 1 | rail as u32)
+                                })
+                                .collect();
+                            assert_eq!(row.vrt.as_ref(), vrt.as_slice());
+                            assert_eq!(row.stuck.as_ref(), stuck.as_slice());
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frac_puf_evaluation_leaves_halfm_and_tau_unbuilt() {
+        use crate::chip::Chip;
+        use crate::geometry::{Geometry, RowAddr};
+        let geometry = Geometry::tiny();
+        for seed in [3u64, 11] {
+            let mut chip = Chip::new(ChipConfig::new(GroupId::B, seed, geometry));
+            // One challenge of the Frac-PUF (§VI-B): physical ones, ten
+            // Frac operations, a sensed read-out.
+            let addr = RowAddr::new(1, 33);
+            let (sub, local) = geometry.split_row(addr.row);
+            let ones: Vec<bool> = chip.anti_columns(1, sub).iter().map(|&a| !a).collect();
+            let mut t = 1_000;
+            chip.activate(addr, t).unwrap();
+            chip.write(1, 0, &ones, t + 10).unwrap();
+            chip.precharge(1, t + 20).unwrap();
+            t += 30;
+            for _ in 0..10 {
+                chip.activate(addr, t).unwrap();
+                chip.precharge(1, t + 1).unwrap();
+                t += 7;
+            }
+            chip.activate(addr, t).unwrap();
+            let response = chip.read(1, t + 10).unwrap();
+            chip.precharge(1, t + 20).unwrap();
+            assert_eq!(response.len(), geometry.columns);
+
+            let cache = chip.clone_cache();
+            let row = cache.row(1, sub, local);
+            let cols = cache.cols(1, sub);
+            assert!(!row.cap.is_empty() && !cols.offset.is_empty());
+            assert!(row.tau20.is_empty() && row.vrt.is_empty(), "tau built");
+            assert!(cols.halfm_asym.is_empty(), "Half-m asymmetry built");
+            assert!(cols.temp_coeff.is_empty(), "temperature coefficients built");
+        }
+    }
+
     #[test]
     fn different_seeds_produce_different_buffers() {
         let mut perf = ModelPerf::default();
         let mut a = MaterializeCache::new(1);
         let mut b = MaterializeCache::new(2);
-        a.ensure_row(&silicon(1), &mut perf, 0, 0, 0, COLS);
-        b.ensure_row(&silicon(2), &mut perf, 0, 0, 0, COLS);
+        a.ensure_leak_statics(&silicon(1), &mut perf, 0, 0, 0, COLS);
+        b.ensure_leak_statics(&silicon(2), &mut perf, 0, 0, 0, COLS);
         assert_ne!(a.row(0, 0, 0).inject, b.row(0, 0, 0).inject);
         assert_ne!(a.row(0, 0, 0).tau20, b.row(0, 0, 0).tau20);
     }

@@ -194,18 +194,6 @@ impl Subarray {
         self.sensed
     }
 
-    /// Whether the column is wired as anti-cells.
-    pub fn is_anti_column(&mut self, ctx: &mut Ctx<'_>, col: usize) -> bool {
-        ctx.cache.ensure_cols(
-            ctx.silicon,
-            &mut *ctx.perf,
-            self.bank,
-            self.index,
-            self.cols,
-        );
-        ctx.cache.cols(self.bank, self.index).anti[col]
-    }
-
     /// Attaches a voltage probe to `(row, col)`; samples accumulate until
     /// taken with [`Subarray::take_probe_samples`].
     pub fn attach_probe(&mut self, row: usize, col: usize) {
@@ -402,7 +390,7 @@ impl Subarray {
             return; // never-written rows hold no charge worth refreshing
         }
         self.leak_row(ctx, local_row, t);
-        ctx.cache.ensure_cols(
+        ctx.cache.ensure_temp_coeffs(
             ctx.silicon,
             &mut *ctx.perf,
             self.bank,
@@ -799,7 +787,7 @@ impl Subarray {
         // while Frac (single-row interruption) stays uniform.
         let started = Instant::now();
         if self.multi_row && !self.sensed && !self.open.is_empty() {
-            ctx.cache.ensure_cols(
+            ctx.cache.ensure_halfm(
                 ctx.silicon,
                 &mut *ctx.perf,
                 self.bank,

@@ -186,17 +186,20 @@ impl MemoryController {
         if let Some(mask) = self.anti_masks.get(&(bank, sub)) {
             return Arc::clone(mask);
         }
-        let width = self.module.row_bits();
-        let mut mask = Vec::with_capacity(width);
-        for col in 0..width {
-            let (chip, chip_col) = self.module.map_column(col);
-            mask.push(
-                self.module
-                    .chip_mut(chip)
-                    .is_anti_column(bank, sub, chip_col),
-            );
-        }
-        let mask: Arc<[bool]> = mask.into();
+        let chips = self.module.chips().len();
+        let mask: Arc<[bool]> = if chips == 1 {
+            self.module.chip_mut(0).anti_columns(bank, sub).into()
+        } else {
+            let per_chip: Vec<Box<[bool]>> = (0..chips)
+                .map(|chip| self.module.chip_mut(chip).anti_columns(bank, sub).into())
+                .collect();
+            (0..self.module.row_bits())
+                .map(|col| {
+                    let (chip, chip_col) = self.module.map_column(col);
+                    per_chip[chip][chip_col]
+                })
+                .collect()
+        };
         self.anti_masks.insert((bank, sub), Arc::clone(&mask));
         mask
     }
