@@ -284,7 +284,8 @@ impl<T> FleetRun<T> {
         let perf = self.total_perf();
         let mut s = format!(
             "fleet: {} task(s) on {} thread(s) in {:.3}s — {} DRAM commands ({} ACT, {} RD, {} WR); \
-             kernels: {} events / {} columns, {} exp(), cache {}h/{}m, {} shared, {:.1}ms in kernels; \
+             kernels: {} events / {} columns, {} superseded ACT(s), {} exp(), cache {}h/{}m, {} shared, \
+             {:.1}ms in kernels; \
              leak: {} skips, {} decay-vec hits, exp batch {} call(s) / {} lanes; \
              snapshots {}h/{}m ({} B), exp memo {}h/{}m; \
              noise: {} draws / {} fills, {:.1}ms; \
@@ -298,6 +299,7 @@ impl<T> FleetRun<T> {
             stats.writes,
             perf.events(),
             perf.columns,
+            perf.superseded_activations,
             perf.exp_calls,
             perf.cache_hits,
             perf.cache_misses,
@@ -405,6 +407,7 @@ fn perf_json(p: &ModelPerf) -> Json {
         .field("sense_events", p.sense_events)
         .field("close_events", p.close_events)
         .field("leak_events", p.leak_events)
+        .field("superseded_activations", p.superseded_activations)
         .field("columns", p.columns)
         .field("exp_calls", p.exp_calls)
         .field("cache_hits", p.cache_hits)
@@ -956,6 +959,7 @@ mod tests {
                     sched_merges: 3,
                     sched_overlapped_ticks: 42,
                     sched_fallbacks: 1,
+                    superseded_activations: 6,
                     ..ModelPerf::default()
                 },
                 ..RunMetrics::default()
@@ -998,6 +1002,13 @@ mod tests {
         );
         assert!(
             summary.contains(&format!(
+                "{} superseded ACT(s)",
+                total.superseded_activations
+            )),
+            "{summary}"
+        );
+        assert!(
+            summary.contains(&format!(
                 "leak: {} skips, {} decay-vec hits, exp batch {} call(s) / {} lanes",
                 total.leak_row_skips,
                 total.decay_vec_hits,
@@ -1034,6 +1045,10 @@ mod tests {
             format!("\"noise_draws\":{}", total.noise_draws),
             format!("\"noise_fills\":{}", total.noise_fills),
             format!("\"cache_share_hits\":{}", total.cache_share_hits),
+            format!(
+                "\"superseded_activations\":{}",
+                total.superseded_activations
+            ),
             format!("\"leak_row_skips\":{}", total.leak_row_skips),
             format!("\"decay_vec_hits\":{}", total.decay_vec_hits),
             format!("\"exp_batch_calls\":{}", total.exp_batch_calls),

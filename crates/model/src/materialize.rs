@@ -950,20 +950,33 @@ mod tests {
             let addr = RowAddr::new(1, 33);
             let (sub, local) = geometry.split_row(addr.row);
             let ones: Vec<bool> = chip.anti_columns(1, sub).iter().map(|&a| !a).collect();
+            // The challenge is evaluated twice, the second time after a
+            // 0.1 s idle gap: the write's ACT would leak the charged row
+            // over that gap, but the full-row write supersedes its share.
             let mut t = 1_000;
-            chip.activate(addr, t).unwrap();
-            chip.write(1, 0, &ones, t + 10).unwrap();
-            chip.precharge(1, t + 20).unwrap();
-            t += 30;
-            for _ in 0..10 {
+            for _ in 0..2 {
                 chip.activate(addr, t).unwrap();
-                chip.precharge(1, t + 1).unwrap();
-                t += 7;
+                chip.write(1, 0, &ones, t + 10).unwrap();
+                chip.precharge(1, t + 20).unwrap();
+                t += 30;
+                for _ in 0..10 {
+                    chip.activate(addr, t).unwrap();
+                    chip.precharge(1, t + 1).unwrap();
+                    t += 7;
+                }
+                chip.activate(addr, t).unwrap();
+                let response = chip.read(1, t + 10).unwrap();
+                chip.precharge(1, t + 20).unwrap();
+                assert_eq!(response.len(), geometry.columns);
+                t += 40_000_000;
             }
-            chip.activate(addr, t).unwrap();
-            let response = chip.read(1, t + 10).unwrap();
-            chip.precharge(1, t + 20).unwrap();
-            assert_eq!(response.len(), geometry.columns);
+            let perf = chip.model_perf();
+            assert_eq!(perf.superseded_activations, 2);
+            assert_eq!(
+                (perf.exp_batch_lanes, perf.exp_calls),
+                (0, 0),
+                "leakage ran"
+            );
 
             let cache = chip.clone_cache();
             let row = cache.row(1, sub, local);

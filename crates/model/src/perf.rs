@@ -20,6 +20,9 @@ pub struct ModelPerf {
     /// Leakage passes that did real work (past the sub-µs and
     /// zero-charge skips).
     pub leak_events: u64,
+    /// Activations whose pending share and sense a full-row write
+    /// superseded, so neither fired (`Subarray::write`).
+    pub superseded_activations: u64,
     /// Total columns processed across all kernel invocations.
     pub columns: u64,
     /// `exp()` evaluations in the leakage kernel.
@@ -90,6 +93,7 @@ impl ModelPerf {
         self.sense_events += other.sense_events;
         self.close_events += other.close_events;
         self.leak_events += other.leak_events;
+        self.superseded_activations += other.superseded_activations;
         self.columns += other.columns;
         self.exp_calls += other.exp_calls;
         self.cache_hits += other.cache_hits;
@@ -178,6 +182,7 @@ mod tests {
             sched_merges: 30,
             sched_overlapped_ticks: 31,
             sched_fallbacks: 32,
+            superseded_activations: 33,
         };
         let mut total = a;
         total.accumulate(&a);
@@ -203,6 +208,7 @@ mod tests {
         assert_eq!(total.sched_merges, 60);
         assert_eq!(total.sched_overlapped_ticks, 62);
         assert_eq!(total.sched_fallbacks, 64);
+        assert_eq!(total.superseded_activations, 66);
         assert_eq!(total.fault_events(), 2 * (21 + 22 + 23 + 24));
         assert_eq!(total.events(), 2 * (1 + 2 + 3 + 4));
         assert_eq!(total.kernel_ns(), 2 * (9 + 10 + 11 + 12));
