@@ -45,7 +45,6 @@ fn controller_with(group: GroupId, seed: u64, params: DeviceParams) -> MemoryCon
         params,
     }));
     mc.set_intra_jobs(setup::intra_jobs());
-    mc.set_sched(setup::sched());
     mc
 }
 
@@ -58,7 +57,6 @@ fn main() {
             ("seed", "base die seed (default 15)"),
             ("jobs", "fleet worker threads (default: all cores)"),
             ("intra-jobs", "chip-parallel workers per module (default 1)"),
-            ("sched", "cross-bank batch scheduling: on|off (default on)"),
             ("retries", "extra attempts for a failing task (default 0)"),
             ("keep-going", "complete remaining tasks after a failure"),
             ("fail-fast", "stop claiming tasks after a failure (default)"),
@@ -69,7 +67,6 @@ fn main() {
     }
     let seed = args.u64("seed", 15);
     setup::set_intra_jobs(args.intra_jobs());
-    setup::set_sched(args.sched());
     let jobs = args.jobs();
     let policy = args.failure_policy();
     args.reject_unknown();

@@ -22,14 +22,12 @@ fn main() {
         &[
             ("seed", "die seed (default 4)"),
             ("intra-jobs", "chip-parallel workers per module (default 1)"),
-            ("sched", "cross-bank batch scheduling: on|off (default on)"),
         ],
     ) {
         return;
     }
     let seed = args.u64("seed", 4);
     setup::set_intra_jobs(args.intra_jobs());
-    setup::set_sched(args.sched());
     args.reject_unknown();
 
     let mut mc = setup::controller(GroupId::B, setup::compute_geometry(), seed);

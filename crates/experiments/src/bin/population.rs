@@ -55,7 +55,6 @@ fn main() {
             ("chunk", "dies per chunk (default 600)"),
             ("jobs", "worker threads (default: all cores)"),
             ("intra-jobs", "chip threads per module (default 1)"),
-            ("sched", "cross-bank batch scheduling: on|off (default on)"),
             ("seed", "base seed (default 42)"),
             ("sample", "fingerprint reservoir capacity (default 256)"),
             ("store", "write the binary result store to this path"),
@@ -72,7 +71,6 @@ fn main() {
     let jobs = args.jobs();
     let sample = args.usize("sample", 256);
     setup::set_intra_jobs(args.intra_jobs());
-    setup::set_sched(args.sched());
     let store_arg = args.str("store").map(PathBuf::from);
     let replay_arg = args.str("replay").map(PathBuf::from);
     let json_path = args.json_path().map(String::from);
@@ -238,7 +236,7 @@ fn main() {
     let perf = &accum.perf;
     eprintln!(
         "population: {} DRAM commands ({} ACT, {} RD, {} WR); cache {}h/{}m, {} shared; \
-         sched {} merge(s); leak {} skips",
+         {} superseded activation(s); leak {} skips",
         stats.commands,
         stats.activates,
         stats.reads,
@@ -246,7 +244,7 @@ fn main() {
         perf.cache_hits,
         perf.cache_misses,
         perf.cache_share_hits,
-        perf.sched_merges,
+        perf.superseded_activations,
         perf.leak_row_skips,
     );
     let ns_per_die = sim_wall.map(|wall| {
@@ -276,7 +274,7 @@ fn main() {
             .field("accuracy", confusion.accuracy())
             .field("commands", stats.commands)
             .field("cache_share_hits", perf.cache_share_hits)
-            .field("sched_merges", perf.sched_merges);
+            .field("superseded_activations", perf.superseded_activations);
         if let Some(u) = unique {
             doc = doc
                 .field("inter_hd_mean", u.mean_hd)

@@ -88,7 +88,7 @@ pub fn fingerprint_hd(a: &[u8; 16], b: &[u8; 16]) -> f64 {
 ///
 /// The die body rides the fleet fast paths: the controller adopts any
 /// pooled [`fracdram_model::MaterializeCache`] buffers, the PUF pair
-/// goes through the batch scheduler ([`evaluate_set`]), and the two
+/// runs as one program per challenge ([`evaluate_set`]), and the two
 /// retention waits are closed-form leakage evaluations, not stepped
 /// time.
 ///
@@ -104,9 +104,8 @@ pub fn simulate_die(group: GroupId, die_seed: u64) -> (DieRecord, RunMetrics) {
     let mut flags = 0u8;
 
     if group.profile().supports_frac() {
-        // Bank-disjoint challenge pair: the cross-bank scheduler merges
-        // the two programs, and the two 64-bit responses concatenate
-        // into the 128-bit fingerprint.
+        // Two challenges on different banks: the two 64-bit responses
+        // concatenate into the 128-bit fingerprint.
         let challenges = [Challenge::new(0, 10), Challenge::new(1, 33)];
         let responses = evaluate_set(&mut mc, &challenges).expect("frac-capable PUF");
         pack_bitvec(&responses[0], &mut fingerprint[0..8]);

@@ -1,7 +1,7 @@
 //! Standard module setups for the experiments.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use fracdram_model::{DeviceParams, Geometry, GroupId, MaterializeCache, Module, ModuleConfig};
 use fracdram_softmc::MemoryController;
@@ -21,23 +21,6 @@ pub fn set_intra_jobs(jobs: usize) {
 /// The current process-wide intra-module worker count.
 pub fn intra_jobs() -> usize {
     INTRA_JOBS.load(Ordering::Relaxed)
-}
-
-/// Process-wide cross-bank scheduling switch (the `--sched` flag),
-/// inherited by every controller built through this module.
-static SCHED: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables cross-bank batch scheduling on every
-/// subsequently built controller. Scheduling is pure accounting on top
-/// of the sequential-equivalent execution order, so output stays
-/// byte-identical either way; only the `sched_*` perf counters move.
-pub fn set_sched(enabled: bool) {
-    SCHED.store(enabled, Ordering::Relaxed);
-}
-
-/// The current process-wide cross-bank scheduling switch.
-pub fn sched() -> bool {
-    SCHED.load(Ordering::Relaxed)
 }
 
 thread_local! {
@@ -120,7 +103,6 @@ pub fn controller(group: GroupId, geometry: Geometry, seed: u64) -> MemoryContro
     let mut mc =
         MemoryController::new(Module::new(ModuleConfig::single_chip(group, die, geometry)));
     mc.set_intra_jobs(intra_jobs());
-    mc.set_sched(sched());
     adopt_pooled_caches(&mut mc);
     mc
 }
@@ -145,7 +127,6 @@ pub fn chips_controller(
         params: DeviceParams::default(),
     }));
     mc.set_intra_jobs(intra_jobs());
-    mc.set_sched(sched());
     adopt_pooled_caches(&mut mc);
     mc
 }
@@ -158,7 +139,6 @@ pub fn rank_controller(group: GroupId, geometry: Geometry, seed: u64) -> MemoryC
         .wrapping_add(group as u64 + 1);
     let mut mc = MemoryController::new(Module::new(ModuleConfig::rank(group, die, geometry)));
     mc.set_intra_jobs(intra_jobs());
-    mc.set_sched(sched());
     adopt_pooled_caches(&mut mc);
     mc
 }

@@ -145,15 +145,6 @@ impl Chip {
         cache
     }
 
-    /// Credits cross-bank scheduler activity to this chip's counters
-    /// (the controller records onto chip 0; [`crate::module::Module`]
-    /// sums chips, so roll-ups see module totals).
-    pub fn record_sched(&mut self, merges: u64, overlapped_ticks: u64, fallbacks: u64) {
-        self.perf.sched_merges += merges;
-        self.perf.sched_overlapped_ticks += overlapped_ticks;
-        self.perf.sched_fallbacks += fallbacks;
-    }
-
     /// Installs a cache donated by [`Chip::take_cache`] on another chip.
     /// Materialized buffers survive only when the donor simulated this
     /// very die — identical full configuration (group, seed, geometry,

@@ -31,8 +31,7 @@ use fracdram::FracDramError;
 use fracdram_experiments::Json;
 use fracdram_model::{FaultConfig, Geometry, GroupId, Module, ModuleConfig, RowAddr, SubarrayAddr};
 use fracdram_softmc::program::Program;
-use fracdram_softmc::sched::{self, ScheduleEntry};
-use fracdram_softmc::{CompiledProgram, MemoryController};
+use fracdram_softmc::MemoryController;
 use fracdram_stats::bits::BitVec;
 use fracdram_stats::rng::mix;
 
@@ -70,14 +69,6 @@ pub struct ServeConfig {
     pub seed: u64,
     /// Fault events a die may accumulate before it is auto-remapped.
     pub fault_limit: u64,
-    /// Whether a drained batch is scheduled across dies: the whole drain
-    /// is partitioned by die (preserving per-die arrival order, which is
-    /// all the replay contract pins down), every die's combinable spans
-    /// coalesce — consecutive *within the die*, not within the drain —
-    /// and the per-die programs are merged into one cross-bank schedule
-    /// to measure the bus occupancy a multi-die controller reclaims.
-    /// `false` restores the legacy consecutive-only coalescing.
-    pub sched: bool,
     /// Per-die circuit breaker thresholds (part of the WAL fingerprint:
     /// rejections consume seqs, so the thresholds shape the response
     /// stream).
@@ -111,7 +102,6 @@ impl Default for ServeConfig {
             columns: 128,
             seed: 0xF2AC_D7A3,
             fault_limit: 2048,
-            sched: true,
             breaker: BreakerConfig::default(),
             chaos: None,
             deadline_ms: 5000,
@@ -167,13 +157,6 @@ pub struct StatusBoard {
     pub shed: AtomicU64,
     /// Combined programs run on behalf of ≥ 2 coalesced requests.
     pub batched: AtomicU64,
-    /// Cross-die schedules built from a drained batch.
-    pub sched_merges: AtomicU64,
-    /// Command cycles of bus occupancy those schedules reclaimed.
-    pub sched_overlapped_ticks: AtomicU64,
-    /// Drains with ≥ 2 schedulable programs that could not merge
-    /// (single die, guarded group, or a bank conflict).
-    pub sched_fallbacks: AtomicU64,
     /// Requests shed with `503` because they aged past
     /// [`ServeConfig::deadline_ms`] in a shard queue.
     pub deadline_shed: AtomicU64,
@@ -511,34 +494,23 @@ impl ShardState {
         Reply { die: id, seq, line }
     }
 
-    /// Executes a drained batch. With [`ServeConfig::sched`] on, the
-    /// drain is partitioned by die first (stable within each die, which
-    /// is the only order the replay contract fixes), each die's
-    /// combinable spans coalesce into combined programs, and the per-die
-    /// programs are merged into one cross-bank schedule whose reclaimed
-    /// bus cycles feed the `sched_*` counters. Replies land back at
-    /// their input positions, so the response stream is identical to the
-    /// sequential path. With it off, only *drain-consecutive* same-die
-    /// `write`/`copy` requests coalesce (the legacy behavior). Both
-    /// paths are bit-identical to per-request execution because the
-    /// controller clock advances purely per-instruction — see DESIGN.md.
+    /// Executes a drained batch. The drain is partitioned by die first
+    /// (stable within each die, which is the only order the replay
+    /// contract fixes), and each die's combinable spans — consecutive
+    /// *within the die*, not within the drain — coalesce into combined
+    /// programs. Replies land back at their input positions. The result
+    /// is bit-identical to per-request execution because the controller
+    /// clock advances purely per-instruction — see DESIGN.md.
     pub fn execute_batch(&mut self, reqs: &[Request]) -> Vec<Reply> {
         self.board.record_drain(reqs.len());
-        if !self.cfg.sched {
-            return self.execute_batch_sequential(reqs);
-        }
         let mut by_die: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (i, req) in reqs.iter().enumerate() {
             let die = req.die().expect("only die-routed requests reach a shard");
             by_die.entry(die).or_default().push(i);
         }
         let mut slots: Vec<Option<Reply>> = reqs.iter().map(|_| None).collect();
-        // (die, per-die order, program) of every combinable span — the
-        // raw material for the cross-die schedule.
-        let mut schedulable: Vec<(usize, u64, Program)> = Vec::new();
-        for (&die, idxs) in &by_die {
+        for idxs in by_die.values() {
             let mut k = 0;
-            let mut order = 0u64;
             while k < idxs.len() {
                 let mut m = k;
                 while m < idxs.len() && self.combinable(&reqs[idxs[m]]) {
@@ -546,106 +518,20 @@ impl ShardState {
                 }
                 if m - k >= 2 {
                     let run: Vec<&Request> = idxs[k..m].iter().map(|&i| &reqs[i]).collect();
-                    let (replies, program) = self.execute_run(&run);
-                    for (slot, reply) in idxs[k..m].iter().zip(replies) {
+                    for (slot, reply) in idxs[k..m].iter().zip(self.execute_run(&run)) {
                         slots[*slot] = Some(reply);
                     }
-                    schedulable.push((die, order, program));
-                    order += 1;
                     k = m;
-                } else if m - k == 1 {
-                    // A lone storage op still joins the schedule.
-                    let die_state = &self.dies[&die];
-                    if let Ok((program, _)) =
-                        prepare_program(&die_state.mc, &self.cfg, &reqs[idxs[k]])
-                    {
-                        schedulable.push((die, order, program));
-                        order += 1;
-                    }
-                    slots[idxs[k]] = Some(self.execute(&reqs[idxs[k]]));
-                    k += 1;
                 } else {
                     slots[idxs[k]] = Some(self.execute(&reqs[idxs[k]]));
                     k += 1;
                 }
             }
         }
-        if by_die.len() >= 2 {
-            self.record_schedule(&schedulable);
-        } else if reqs.len() >= 2 {
-            // A multi-request drain with no second die has nothing to
-            // overlap with — that is a scheduling miss worth counting.
-            self.board.sched_fallbacks.fetch_add(1, Ordering::Relaxed);
-        }
         slots
             .into_iter()
             .map(|r| r.expect("every request produced a reply"))
             .collect()
-    }
-
-    /// The legacy drain path: coalesce only drain-consecutive same-die
-    /// storage requests, execute everything else one by one.
-    fn execute_batch_sequential(&mut self, reqs: &[Request]) -> Vec<Reply> {
-        let mut out = Vec::with_capacity(reqs.len());
-        let mut i = 0;
-        while i < reqs.len() {
-            let mut j = i;
-            while j < reqs.len() && reqs[j].die() == reqs[i].die() && self.combinable(&reqs[j]) {
-                j += 1;
-            }
-            if j - i >= 2 {
-                let run: Vec<&Request> = reqs[i..j].iter().collect();
-                let (replies, _) = self.execute_run(&run);
-                out.extend(replies);
-                i = j;
-            } else {
-                out.push(self.execute(&reqs[i]));
-                i += 1;
-            }
-        }
-        out
-    }
-
-    /// Merges one drain's schedulable programs across dies and records
-    /// what the interleaved command stream saves. Pure accounting: each
-    /// die executed its own programs at identical per-bank times, so the
-    /// merge never changes any response — it measures the bus occupancy
-    /// a multi-die controller reclaims from tRCD/tRP idle cycles.
-    fn record_schedule(&mut self, programs: &[(usize, u64, Program)]) {
-        let Some(first) = self.dies.values().next() else {
-            return;
-        };
-        let guarded = first.mc.module().profile().timing_guard;
-        let dies: std::collections::BTreeSet<usize> = programs.iter().map(|(d, _, _)| *d).collect();
-        if guarded || dies.len() < 2 {
-            self.board.sched_fallbacks.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let timing = *first.mc.timing();
-        let compiled: Vec<CompiledProgram> = programs
-            .iter()
-            .map(|(_, _, p)| CompiledProgram::compile(&timing, p))
-            .collect();
-        let entries: Vec<ScheduleEntry> = programs
-            .iter()
-            .zip(&compiled)
-            .map(|((die, order, _), c)| ScheduleEntry {
-                space: *die as u64,
-                order: *order,
-                program: c,
-            })
-            .collect();
-        match sched::merge(&entries) {
-            Some(schedule) => {
-                self.board.sched_merges.fetch_add(1, Ordering::Relaxed);
-                self.board
-                    .sched_overlapped_ticks
-                    .fetch_add(schedule.overlapped_ticks(), Ordering::Relaxed);
-            }
-            None => {
-                self.board.sched_fallbacks.fetch_add(1, Ordering::Relaxed);
-            }
-        }
     }
 
     /// The breaker for die id `id`, created closed on first touch.
@@ -696,7 +582,7 @@ impl ShardState {
         !die.mc.module().faults_enabled() && prepare_program(&die.mc, &self.cfg, req).is_ok()
     }
 
-    fn execute_run(&mut self, reqs: &[&Request]) -> (Vec<Reply>, Program) {
+    fn execute_run(&mut self, reqs: &[&Request]) -> Vec<Reply> {
         let id = reqs[0].die().expect("runs are die-routed");
         self.ensure_die(id);
         let die = self.dies.get_mut(&id).unwrap();
@@ -753,7 +639,7 @@ impl ShardState {
         if self.check_health(id) && self.breaker(id).record_failure() {
             self.board.breaker_trips.fetch_add(1, Ordering::Relaxed);
         }
-        (replies, combined)
+        replies
     }
 
     /// Auto-remap a die whose accumulated fault events crossed the
@@ -1103,8 +989,8 @@ mod tests {
 
     #[test]
     fn cross_die_drain_matches_per_request_execution() {
-        // A drain interleaving three dies: with scheduling on, each
-        // die's requests regroup and coalesce, yet every reply must be
+        // A drain interleaving three dies: each die's requests regroup
+        // and coalesce, yet every reply must be
         // byte-identical to strict per-request execution and come back
         // at its input position.
         let cfg = tiny_cfg();
@@ -1120,15 +1006,10 @@ mod tests {
         ];
         let reqs: Vec<Request> = lines.iter().map(|l| Request::parse(l).unwrap()).collect();
 
-        let mut scheduled = shard(&cfg);
-        let sched_replies = scheduled.execute_batch(&reqs);
+        let mut batched = shard(&cfg);
+        let batch_replies = batched.execute_batch(&reqs);
         let mut serial = shard(&cfg);
         let serial_replies: Vec<Reply> = reqs.iter().map(|r| serial.execute(r)).collect();
-        let mut legacy = shard(&ServeConfig {
-            sched: false,
-            ..tiny_cfg()
-        });
-        let legacy_replies = legacy.execute_batch(&reqs);
 
         let render = |rs: &[Reply]| {
             rs.iter()
@@ -1136,24 +1017,16 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        assert_eq!(render(&sched_replies), render(&serial_replies));
-        assert_eq!(render(&legacy_replies), render(&serial_replies));
-        assert!(
-            scheduled.board.batched.load(Ordering::Relaxed)
-                > legacy.board.batched.load(Ordering::Relaxed),
-            "regrouping by die must coalesce runs the consecutive-only path misses"
-        );
-        assert_eq!(scheduled.board.sched_merges.load(Ordering::Relaxed), 1);
-        assert!(
-            scheduled
-                .board
-                .sched_overlapped_ticks
-                .load(Ordering::Relaxed)
-                > 0
-        );
-        assert_eq!(legacy.board.sched_merges.load(Ordering::Relaxed), 0);
+        assert_eq!(render(&batch_replies), render(&serial_replies));
+        // No two drain-consecutive requests share a die, yet regrouping
+        // coalesces die 0's write/write/copy and die 1's write/copy.
         assert_eq!(
-            scheduled.board.batch_histogram(),
+            batched.board.batched.load(Ordering::Relaxed),
+            2,
+            "one combined program each for dies 0 and 1"
+        );
+        assert_eq!(
+            batched.board.batch_histogram(),
             {
                 let mut h = vec![0u64; 9];
                 h[8] = 1;
@@ -1161,20 +1034,6 @@ mod tests {
             },
             "one drain of eight requests"
         );
-    }
-
-    #[test]
-    fn single_die_drain_counts_a_fallback() {
-        let cfg = tiny_cfg();
-        let mut state = shard(&cfg);
-        let lines = [
-            r#"{"op":"write","die":1,"bank":1,"row":4,"fill":true}"#,
-            r#"{"op":"write","die":1,"bank":1,"row":5,"fill":false}"#,
-        ];
-        let reqs: Vec<Request> = lines.iter().map(|l| Request::parse(l).unwrap()).collect();
-        state.execute_batch(&reqs);
-        assert_eq!(state.board.sched_merges.load(Ordering::Relaxed), 0);
-        assert_eq!(state.board.sched_fallbacks.load(Ordering::Relaxed), 1);
     }
 
     #[test]

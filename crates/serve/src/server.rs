@@ -815,16 +815,6 @@ fn status_response(cfg: &ServeConfig, board: &StatusBoard) -> String {
         .field("processed", board.processed.load(Ordering::Relaxed))
         .field("shed", board.shed.load(Ordering::Relaxed))
         .field("batched", board.batched.load(Ordering::Relaxed))
-        .field("sched", cfg.sched)
-        .field("sched_merges", board.sched_merges.load(Ordering::Relaxed))
-        .field(
-            "sched_overlapped_ticks",
-            board.sched_overlapped_ticks.load(Ordering::Relaxed),
-        )
-        .field(
-            "sched_fallbacks",
-            board.sched_fallbacks.load(Ordering::Relaxed),
-        )
         .field("deadline_ms", cfg.deadline_ms)
         .field("deadline_shed", board.deadline_shed.load(Ordering::Relaxed))
         .field("io_timeout_ms", cfg.io_timeout_ms)

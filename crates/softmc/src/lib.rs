@@ -36,7 +36,6 @@ pub mod controller;
 pub mod encoding;
 pub mod error;
 pub mod program;
-pub mod sched;
 pub mod timing;
 pub mod trace;
 
@@ -46,6 +45,5 @@ pub use controller::{MemoryController, RunMetrics, RunOutcome};
 pub use encoding::{decode, encode, DecodeError};
 pub use error::{ControllerError, Result};
 pub use program::{Instruction, Program, ProgramBuilder};
-pub use sched::{Schedule, ScheduleEntry, ScheduledSlot};
 pub use timing::{TimingParams, TimingRule, TimingViolation};
 pub use trace::{CommandTrace, CycleStats, TraceEntry, TraceOp};
