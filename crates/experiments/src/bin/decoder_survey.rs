@@ -34,7 +34,6 @@ fn main() {
             ),
             ("seed", "die seed (default 16)"),
             ("jobs", "fleet worker threads (default: all cores)"),
-            ("intra-jobs", "chip-parallel workers per module (default 1)"),
             ("retries", "extra attempts for a failing task (default 0)"),
             ("keep-going", "complete remaining tasks after a failure"),
             ("fail-fast", "stop claiming tasks after a failure (default)"),
@@ -45,7 +44,6 @@ fn main() {
     }
     let rows = args.usize("rows", 16);
     let seed = args.u64("seed", 16);
-    setup::set_intra_jobs(args.intra_jobs());
     let jobs = args.jobs();
     let policy = args.failure_policy();
     args.reject_unknown();

@@ -59,7 +59,6 @@ fn main() {
             ("modules", "modules per group (default 2)"),
             ("seed", "base seed (default 10)"),
             ("jobs", "fleet worker threads (default: all cores)"),
-            ("intra-jobs", "chip-parallel workers per module (default 1)"),
             ("retries", "extra attempts for a failing task (default 0)"),
             ("keep-going", "complete remaining tasks after a failure"),
             ("fail-fast", "stop claiming tasks after a failure (default)"),
@@ -72,7 +71,6 @@ fn main() {
     let subarrays = args.usize("subarrays", 4);
     let modules = args.usize("modules", 2);
     let seed = args.u64("seed", 10);
-    setup::set_intra_jobs(args.intra_jobs());
     let jobs = args.jobs();
     let policy = args.failure_policy();
     args.reject_unknown();

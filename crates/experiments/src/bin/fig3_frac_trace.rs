@@ -23,14 +23,12 @@ fn main() {
         &[
             ("ops", "number of Frac operations (default 2, as in Fig. 3)"),
             ("seed", "die seed (default 3)"),
-            ("intra-jobs", "chip-parallel workers per module (default 1)"),
         ],
     ) {
         return;
     }
     let ops = args.usize("ops", 2);
     let seed = args.u64("seed", 3);
-    setup::set_intra_jobs(args.intra_jobs());
     args.reject_unknown();
 
     let mut mc = setup::controller(GroupId::B, setup::compute_geometry(), seed);

@@ -20,14 +20,12 @@ fn main() {
         &[
             ("subarrays", "sub-arrays scanned (default 4; paper: all)"),
             ("seed", "die seed (default 7)"),
-            ("intra-jobs", "chip-parallel workers per module (default 1)"),
         ],
     ) {
         return;
     }
     let subarrays = args.usize("subarrays", 4);
     let seed = args.u64("seed", 7);
-    setup::set_intra_jobs(args.intra_jobs());
     args.reject_unknown();
 
     let mut mc = setup::controller(GroupId::B, setup::compute_geometry(), seed);

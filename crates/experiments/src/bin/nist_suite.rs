@@ -39,7 +39,6 @@ fn main() {
             ("cols", "columns per chip row (default 4096)"),
             ("seed", "base seed (default 13)"),
             ("jobs", "fleet worker threads (default: all cores)"),
-            ("intra-jobs", "chip-parallel workers per module (default 1)"),
             ("retries", "extra attempts for a failing task (default 0)"),
             ("keep-going", "complete remaining tasks after a failure"),
             ("fail-fast", "stop claiming tasks after a failure (default)"),
@@ -52,7 +51,6 @@ fn main() {
     let modules = args.usize("modules", 2);
     let cols = args.usize("cols", 4096);
     let seed = args.u64("seed", 13);
-    setup::set_intra_jobs(args.intra_jobs());
     let jobs = args.jobs();
     let policy = args.failure_policy();
     args.reject_unknown();

@@ -192,20 +192,6 @@ impl Args {
         jobs
     }
 
-    /// Intra-module worker count: `--intra-jobs N` (default 1). With a
-    /// multi-chip module, each controller executes its chips on `N`
-    /// parallel threads — byte-identical output, composing with the
-    /// fleet's `--jobs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the value does not parse or is zero.
-    pub fn intra_jobs(&self) -> usize {
-        let jobs = self.usize("intra-jobs", 1);
-        assert!(jobs > 0, "--intra-jobs must be at least 1");
-        jobs
-    }
-
     /// Structured results dump path: `--json PATH`.
     pub fn json_path(&self) -> Option<&str> {
         self.str("json")

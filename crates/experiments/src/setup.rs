@@ -1,27 +1,9 @@
 //! Standard module setups for the experiments.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use fracdram_model::{DeviceParams, Geometry, GroupId, MaterializeCache, Module, ModuleConfig};
 use fracdram_softmc::MemoryController;
-
-/// Process-wide intra-module worker count (the `--intra-jobs` flag),
-/// inherited by every controller built through this module.
-static INTRA_JOBS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the intra-module worker count every subsequently built
-/// controller inherits. Composes with the fleet's `--jobs`: the fleet
-/// parallelizes across tasks, this parallelizes across the chips of
-/// each task's module. Output stays byte-identical for any value.
-pub fn set_intra_jobs(jobs: usize) {
-    INTRA_JOBS.store(jobs.max(1), Ordering::Relaxed);
-}
-
-/// The current process-wide intra-module worker count.
-pub fn intra_jobs() -> usize {
-    INTRA_JOBS.load(Ordering::Relaxed)
-}
 
 thread_local! {
     /// Per-worker materialize-cache pool. `None` (the default) disables
@@ -102,14 +84,13 @@ pub fn controller(group: GroupId, geometry: Geometry, seed: u64) -> MemoryContro
         .wrapping_add(group as u64 + 1);
     let mut mc =
         MemoryController::new(Module::new(ModuleConfig::single_chip(group, die, geometry)));
-    mc.set_intra_jobs(intra_jobs());
     adopt_pooled_caches(&mut mc);
     mc
 }
 
 /// A module of `group` with an explicit chip count (1 reproduces
 /// [`controller`]; 8 is a realistic rank) — the PUF experiments'
-/// `--chips` flag, and the shape `--intra-jobs` parallelizes over.
+/// `--chips` flag.
 pub fn chips_controller(
     group: GroupId,
     geometry: Geometry,
@@ -126,7 +107,6 @@ pub fn chips_controller(
         chips,
         params: DeviceParams::default(),
     }));
-    mc.set_intra_jobs(intra_jobs());
     adopt_pooled_caches(&mut mc);
     mc
 }
@@ -138,7 +118,6 @@ pub fn rank_controller(group: GroupId, geometry: Geometry, seed: u64) -> MemoryC
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)
         .wrapping_add(group as u64 + 1);
     let mut mc = MemoryController::new(Module::new(ModuleConfig::rank(group, die, geometry)));
-    mc.set_intra_jobs(intra_jobs());
     adopt_pooled_caches(&mut mc);
     mc
 }

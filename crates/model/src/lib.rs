@@ -71,7 +71,7 @@ pub use error::{ModelError, Result};
 pub use faults::{EnvWindow, FaultConfig, FaultPlan};
 pub use geometry::{Geometry, RowAddr, SubarrayAddr};
 pub use materialize::MaterializeCache;
-pub use module::{BroadcastOp, Module, ModuleConfig};
+pub use module::{Module, ModuleConfig};
 pub use params::{DeviceParams, InternalTiming};
 pub use perf::ModelPerf;
 pub use subarray::{ProbeEvent, ProbeSample};

@@ -39,7 +39,6 @@
 //! [`Silicon::slot_sampler`]), so a column costs one hash round per
 //! parameter and nothing is allocated but the buffer.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -47,15 +46,6 @@ use crate::chip::ChipConfig;
 use crate::env::Environment;
 use crate::perf::ModelPerf;
 use crate::silicon::Silicon;
-use crate::variation::splitmix64;
-
-/// Memoized `exp()` entries are evicted wholesale past this size; big
-/// retention sweeps generate unbounded distinct exponent arguments.
-const EXP_MEMO_CAP: usize = 1 << 20;
-
-/// Exp-memo table size (slots) at its first insert. Grows by 4× as it
-/// fills so idle chips pay kilobytes, not megabytes.
-const EXP_MEMO_INITIAL: usize = 1 << 10;
 
 /// Cached decay-factor vectors are evicted wholesale past this count;
 /// each entry is one row's worth of `f64`s for one `(dt, scale)` pair.
@@ -95,83 +85,6 @@ impl Hasher for CoordHasher {
 
 /// A map keyed by cache coordinates, hashed with [`CoordHasher`].
 type CoordMap<K, V> = HashMap<K, V, BuildHasherDefault<CoordHasher>>;
-
-/// Flat open-addressing `exp()` memo.
-///
-/// The key is the argument's exact bit pattern; key `0` (the bits of
-/// `+0.0`) doubles as the empty-slot sentinel, and `exp(+0) = 1` is
-/// answered without touching the table. A SplitMix finish spreads
-/// mantissa-adjacent keys; linear probing keeps a lookup to one or two
-/// adjacent cache lines — the `HashMap` this replaces spent more time
-/// hashing and chasing its control bytes than the `exp()` it saved.
-///
-/// The first probe allocates the table, so a fresh cache (one per chip
-/// built) allocates nothing until leakage needs it.
-#[derive(Debug, Clone, Default)]
-struct ExpMemo {
-    keys: Box<[u64]>,
-    vals: Box<[f64]>,
-    filled: usize,
-}
-
-impl ExpMemo {
-    /// Looks up `exp` of the argument with bits `key`, computing and
-    /// inserting on miss. Returns `(value, was_hit)`.
-    fn probe(&mut self, key: u64) -> (f64, bool) {
-        debug_assert_ne!(key, 0, "+0.0 is answered before the table");
-        if self.keys.is_empty() {
-            self.keys = vec![0u64; EXP_MEMO_INITIAL].into();
-            self.vals = vec![0f64; EXP_MEMO_INITIAL].into();
-        }
-        let mask = self.keys.len() - 1;
-        let mut slot = (splitmix64(key) as usize) & mask;
-        loop {
-            let k = self.keys[slot];
-            if k == key {
-                return (self.vals[slot], true);
-            }
-            if k == 0 {
-                let v = f64::from_bits(key).exp();
-                self.keys[slot] = key;
-                self.vals[slot] = v;
-                self.filled += 1;
-                if self.filled * 4 >= self.keys.len() * 3 {
-                    self.grow_or_clear();
-                }
-                return (v, false);
-            }
-            slot = (slot + 1) & mask;
-        }
-    }
-
-    /// Quadruples the table (rehashing every entry), or clears it
-    /// wholesale once it has reached the retention cap — the same
-    /// eviction policy the map it replaced used. Either way the memo
-    /// only ever returns `x.exp()` bits, so eviction timing cannot
-    /// change a simulated value.
-    fn grow_or_clear(&mut self) {
-        if self.keys.len() >= EXP_MEMO_CAP {
-            self.keys.fill(0);
-            self.filled = 0;
-            return;
-        }
-        let new_len = self.keys.len() * 4;
-        let old_keys = std::mem::replace(&mut self.keys, vec![0u64; new_len].into());
-        let old_vals = std::mem::replace(&mut self.vals, vec![0f64; new_len].into());
-        let mask = self.keys.len() - 1;
-        for (&k, &v) in old_keys.iter().zip(old_vals.iter()) {
-            if k == 0 {
-                continue;
-            }
-            let mut slot = (splitmix64(k) as usize) & mask;
-            while self.keys[slot] != 0 {
-                slot = (slot + 1) & mask;
-            }
-            self.keys[slot] = k;
-            self.vals[slot] = v;
-        }
-    }
-}
 
 /// Materialized sense thresholds of one sub-array, tagged with the
 /// environment they were computed under.
@@ -243,10 +156,6 @@ pub struct MaterializeCache {
     /// Decay-factor vectors: `exp(-dt / (tau20[col] * scale))` per
     /// column.
     decay: CoordMap<DecayKey, Box<[f64]>>,
-    /// `exp(x)` keyed by `x.to_bits()`. Pure math — seed-independent, so
-    /// `sync_seed` leaves it alone. Interior mutability lets the leakage
-    /// kernel probe it while holding the row-statics borrow.
-    exp_memo: RefCell<ExpMemo>,
     /// Full identity of the chip that donated this cache (stamped by
     /// `Chip::take_cache`). The buffers are pure in the *whole* chip
     /// configuration — group profile, analog parameters, and geometry,
@@ -263,27 +172,6 @@ impl MaterializeCache {
             seed,
             ..MaterializeCache::default()
         }
-    }
-
-    /// Memoized `x.exp()`, keyed by the exact bit pattern of `x` —
-    /// bit-identical to calling `exp` directly, with a counter-visible
-    /// hit rate. The leakage kernel's exponent arguments repeat exactly
-    /// across trials (same `dt`, same materialized `tau`), so the table
-    /// converts its dominant cost into a flat-table probe.
-    #[inline]
-    pub fn exp(&self, perf: &mut ModelPerf, x: f64) -> f64 {
-        if x == 0.0 && x.is_sign_positive() {
-            // `+0.0` has bit pattern 0, the table's empty sentinel.
-            perf.exp_memo_hits += 1;
-            return 1.0;
-        }
-        let (v, hit) = self.exp_memo.borrow_mut().probe(x.to_bits());
-        if hit {
-            perf.exp_memo_hits += 1;
-        } else {
-            perf.exp_memo_misses += 1;
-        }
-        v
     }
 
     /// The seed the cached buffers were built from.
@@ -323,8 +211,7 @@ impl MaterializeCache {
         self.donor.as_ref() == Some(config)
     }
 
-    /// Drops every seed-keyed buffer, keeping the pure-math `exp()`
-    /// memo (which is valid for any die). Used when a donated cache
+    /// Drops every materialized buffer. Used when a donated cache
     /// crosses a boundary the seed key alone cannot express — a chip
     /// with a fault plan armed, whose stuck/weak-cell statics fold the
     /// plan into the materialized buffers.
@@ -670,11 +557,11 @@ impl MaterializeCache {
 
     /// Builds (on miss) the decay-factor vector of one row for one
     /// `(dt, scale)` pair: `factor[col] = exp(-dt / (tau20[col] * scale))`,
-    /// evaluated through [`fracdram_stats::special::exp_batch`] with the
-    /// exact per-column argument expression the leakage kernel used
-    /// inline — so `v * factor[col]` is bit-identical to the stepped
-    /// form. Event cadences repeat the same `dt` across trials, which
-    /// turns a row's whole leakage pass into one cached-vector multiply.
+    /// evaluated with the exact per-column argument expression the
+    /// leakage kernel used inline — so `v * factor[col]` is bit-identical
+    /// to the stepped form. Event cadences repeat the same `dt` across
+    /// trials, which turns a row's whole leakage pass into one
+    /// cached-vector multiply.
     #[allow(clippy::too_many_arguments)]
     pub fn ensure_decay_factors(
         &mut self,
@@ -701,20 +588,16 @@ impl MaterializeCache {
             .get(&(bank, sub, row))
             .expect("row just ensured")
             .tau20;
-        let mut args = Vec::with_capacity(cols);
-        for col in 0..cols {
-            // Same argument shape as the stepped leakage kernel: the tau
-            // product must stay in exactly this form — hoisting a
-            // reciprocal changes the rounding and breaks stdout
-            // byte-identity.
-            let tau = tau20[col] as f64 * scale;
-            args.push(-dt / tau);
-        }
-        let mut factors = vec![0.0f64; cols];
-        fracdram_stats::special::exp_batch(&args, &mut factors);
+        // Same argument shape as the stepped leakage kernel: the tau
+        // product must stay in exactly this form — hoisting a reciprocal
+        // changes the rounding and breaks stdout byte-identity.
+        let factors: Box<[f64]> = tau20[..cols]
+            .iter()
+            .map(|&tau| (-dt / (tau as f64 * scale)).exp())
+            .collect();
         perf.exp_batch_calls += 1;
         perf.exp_batch_lanes += cols as u64;
-        self.decay.insert(key, factors.into());
+        self.decay.insert(key, factors);
     }
 
     /// The decay-factor vector of a row for one `(dt, scale)` pair; call
@@ -978,7 +861,7 @@ mod tests {
                 "leakage ran"
             );
 
-            let cache = chip.clone_cache();
+            let cache = chip.take_cache();
             let row = cache.row(1, sub, local);
             let cols = cache.cols(1, sub);
             assert!(!row.cap.is_empty() && !cols.offset.is_empty());
@@ -1013,21 +896,6 @@ mod tests {
         cache.ensure_cols(&s, &mut perf, 0, 0, COLS);
         cache.ensure_cols(&s, &mut perf, 0, 0, COLS);
         assert_eq!((perf.cache_misses, perf.cache_hits), (3, 2));
-    }
-
-    #[test]
-    fn exp_memo_is_bit_identical_and_counted() {
-        let mut perf = ModelPerf::default();
-        let cache = MaterializeCache::new(1);
-        let xs = [-0.125, -3.5e-4, 0.75, -88.0, 1e-9];
-        for &x in &xs {
-            assert_eq!(cache.exp(&mut perf, x).to_bits(), x.exp().to_bits());
-        }
-        assert_eq!((perf.exp_memo_misses, perf.exp_memo_hits), (5, 0));
-        for &x in &xs {
-            assert_eq!(cache.exp(&mut perf, x).to_bits(), x.exp().to_bits());
-        }
-        assert_eq!((perf.exp_memo_misses, perf.exp_memo_hits), (5, 5));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::chip::{Chip, ChipConfig};
 use crate::env::Environment;
-use crate::error::{ModelError, Result};
+use crate::error::Result;
 use crate::geometry::{Geometry, RowAddr};
 use crate::params::DeviceParams;
 use crate::snapshot::ModuleWriteSnapshot;
@@ -18,83 +18,6 @@ use crate::vendor::{GroupId, VendorProfile};
 
 /// Width of one data lane in bits (x8 chips).
 pub const LANE_BITS: usize = 8;
-
-/// One command of a pre-timed program, with its absolute issue time and
-/// (for writes) the payload already split into per-chip slices — the
-/// shape [`Module::run_ops`] consumes.
-#[derive(Debug, Clone)]
-pub enum BroadcastOp {
-    /// ACTIVATE on every chip.
-    Activate {
-        /// Row to open.
-        addr: RowAddr,
-        /// Issue cycle.
-        t: u64,
-    },
-    /// PRECHARGE on every chip.
-    Precharge {
-        /// Bank to close.
-        bank: usize,
-        /// Issue cycle.
-        t: u64,
-    },
-    /// READ the open row on every chip.
-    Read {
-        /// Bank to read.
-        bank: usize,
-        /// Issue cycle.
-        t: u64,
-    },
-    /// WRITE a full module row, pre-striped with [`Module::stripe`].
-    Write {
-        /// Bank to write.
-        bank: usize,
-        /// One full-width payload per chip.
-        per_chip: Vec<Vec<bool>>,
-        /// Issue cycle.
-        t: u64,
-    },
-    /// REFRESH a bank on every chip.
-    Refresh {
-        /// Bank to refresh.
-        bank: usize,
-        /// Issue cycle.
-        t: u64,
-    },
-    /// No chip work (keeps op indices aligned with program
-    /// instructions).
-    Nop,
-}
-
-/// One chip's read bursts, or the failing `(op index, error)` pair.
-type ChipOpsResult = std::result::Result<Vec<Vec<bool>>, (usize, ModelError)>;
-
-/// Runs one chip through a whole op sequence, collecting its read
-/// bursts. On failure, returns the op index alongside the error so the
-/// module can resolve a deterministic first failure across chips.
-fn run_chip_ops(chip: &mut Chip, index: usize, ops: &[BroadcastOp]) -> ChipOpsResult {
-    let mut reads = Vec::new();
-    for (i, op) in ops.iter().enumerate() {
-        let outcome = match op {
-            BroadcastOp::Activate { addr, t } => chip.activate(*addr, *t),
-            BroadcastOp::Precharge { bank, t } => chip.precharge(*bank, *t),
-            BroadcastOp::Read { bank, t } => match chip.read(*bank, *t) {
-                Ok(bits) => {
-                    reads.push(bits);
-                    Ok(())
-                }
-                Err(e) => Err(e),
-            },
-            BroadcastOp::Write { bank, per_chip, t } => chip.write(*bank, 0, &per_chip[index], *t),
-            BroadcastOp::Refresh { bank, t } => chip.refresh(*bank, *t),
-            BroadcastOp::Nop => Ok(()),
-        };
-        if let Err(e) = outcome {
-            return Err((i, e));
-        }
-    }
-    Ok(reads)
-}
 
 /// Configuration of a module.
 #[derive(Debug, Clone, PartialEq)]
@@ -197,14 +120,6 @@ impl Module {
         self.chips.iter_mut().map(Chip::take_cache).collect()
     }
 
-    /// Donation-stamped copies of every chip's materialize cache, in
-    /// chip order, without disturbing this module — the serve pool uses
-    /// it so a warm die can seed a freshly touched one. See
-    /// [`Chip::clone_cache`].
-    pub fn clone_caches(&self) -> Vec<crate::materialize::MaterializeCache> {
-        self.chips.iter().map(Chip::clone_cache).collect()
-    }
-
     /// Installs donated caches chip-by-chip (extra donations are
     /// dropped; chips past the donation keep their fresh cache). Each
     /// chip re-keys its donation to its own die seed, so a module
@@ -269,90 +184,6 @@ impl Module {
             per_chip[chip][chip_col] = bit;
         }
         per_chip
-    }
-
-    /// Executes a pre-timed command sequence on every chip, returning
-    /// the de-striped reads in program order. With `jobs > 1` and more
-    /// than one chip, chips run on scoped worker threads — byte-exact
-    /// with sequential execution by construction: chips share no
-    /// mutable state, and temporal noise is a pure function of each
-    /// event's fire time and coordinates, not of cross-chip order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the failing op index and error, resolved
-    /// deterministically as the lowest `(op index, chip index)` pair
-    /// across chips regardless of worker count. After an error the
-    /// module state is unspecified (chips may have advanced past the
-    /// failing op).
-    pub fn run_ops(
-        &mut self,
-        ops: &[BroadcastOp],
-        jobs: usize,
-    ) -> std::result::Result<Vec<Vec<bool>>, (usize, ModelError)> {
-        let n = self.chips.len();
-        let jobs = jobs.clamp(1, n);
-        let results: Vec<ChipOpsResult> = if jobs > 1 {
-            let chunk = n.div_ceil(jobs);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = self
-                    .chips
-                    .chunks_mut(chunk)
-                    .enumerate()
-                    .map(|(w, chips)| {
-                        s.spawn(move || {
-                            chips
-                                .iter_mut()
-                                .enumerate()
-                                .map(|(i, c)| run_chip_ops(c, w * chunk + i, ops))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("chip worker panicked"))
-                    .collect()
-            })
-        } else {
-            self.chips
-                .iter_mut()
-                .enumerate()
-                .map(|(i, c)| run_chip_ops(c, i, ops))
-                .collect()
-        };
-        let mut chip_reads: Vec<Vec<Vec<bool>>> = Vec::with_capacity(n);
-        let mut first_err: Option<(usize, usize, ModelError)> = None;
-        for (chip_idx, r) in results.into_iter().enumerate() {
-            match r {
-                Ok(reads) => chip_reads.push(reads),
-                Err((op_idx, e)) => {
-                    if first_err
-                        .as_ref()
-                        .is_none_or(|(o, c, _)| (op_idx, chip_idx) < (*o, *c))
-                    {
-                        first_err = Some((op_idx, chip_idx, e));
-                    }
-                    chip_reads.push(Vec::new());
-                }
-            }
-        }
-        if let Some((op_idx, _, e)) = first_err {
-            return Err((op_idx, e));
-        }
-        if n == 1 {
-            return Ok(chip_reads.pop().unwrap());
-        }
-        let width = self.row_bits();
-        let count = chip_reads[0].len();
-        let mut out = vec![vec![false; width]; count];
-        for (r, word) in out.iter_mut().enumerate() {
-            for (col, bit) in word.iter_mut().enumerate() {
-                let (chip, chip_col) = self.map_column(col);
-                *bit = chip_reads[chip][r][chip_col];
-            }
-        }
-        Ok(out)
     }
 
     /// Maps a module-level column to `(chip index, chip column)` using
@@ -653,70 +484,6 @@ mod tests {
             m1.chips()[0].silicon().sense_offset(0, 0, 0),
             m2.chips()[0].silicon().sense_offset(0, 0, 0)
         );
-    }
-
-    #[test]
-    fn run_ops_parallel_matches_sequential() {
-        let addr = RowAddr::new(0, 4);
-        let mut seq = module(8);
-        let mut par = seq.clone();
-        let width = seq.row_bits();
-        let pattern: Vec<bool> = (0..width).map(|i| (i * 13) % 7 < 3).collect();
-        let ops = vec![
-            BroadcastOp::Activate { addr, t: 100 },
-            BroadcastOp::Write {
-                bank: 0,
-                per_chip: seq.stripe(&pattern),
-                t: 110,
-            },
-            BroadcastOp::Precharge { bank: 0, t: 120 },
-            BroadcastOp::Nop,
-            // An out-of-spec Frac, so charge actually diverges from the
-            // rails and analog noise matters.
-            BroadcastOp::Activate { addr, t: 150 },
-            BroadcastOp::Precharge { bank: 0, t: 151 },
-            BroadcastOp::Activate { addr, t: 300 },
-            BroadcastOp::Read { bank: 0, t: 310 },
-            BroadcastOp::Precharge { bank: 0, t: 320 },
-        ];
-        let a = seq.run_ops(&ops, 1).unwrap();
-        let b = par.run_ops(&ops, 4).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 1);
-        for col in [0, 9, 100, width - 1] {
-            assert_eq!(
-                seq.probe_cell_voltage(addr, col, 5_000),
-                par.probe_cell_voltage(addr, col, 5_000),
-                "col {col}"
-            );
-        }
-        // Event/draw counts must match exactly; wall-time counters
-        // legitimately differ between runs.
-        let strip_ns = |mut p: crate::perf::ModelPerf| {
-            p.share_ns = 0;
-            p.sense_ns = 0;
-            p.close_ns = 0;
-            p.leak_ns = 0;
-            p.noise_ns = 0;
-            p
-        };
-        assert_eq!(strip_ns(seq.model_perf()), strip_ns(par.model_perf()));
-    }
-
-    #[test]
-    fn run_ops_reports_lowest_failing_op() {
-        let mut m = module(2);
-        let ops = vec![
-            BroadcastOp::Activate {
-                addr: RowAddr::new(0, 0),
-                t: 100,
-            },
-            // Bank 9 does not exist: every chip fails at op 1.
-            BroadcastOp::Read { bank: 9, t: 110 },
-        ];
-        let (op_idx, err) = m.run_ops(&ops, 2).unwrap_err();
-        assert_eq!(op_idx, 1);
-        assert!(matches!(err, ModelError::BankOutOfRange { .. }));
     }
 
     #[test]

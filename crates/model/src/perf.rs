@@ -51,9 +51,12 @@ pub struct ModelPerf {
     pub snapshot_misses: u64,
     /// Bytes of sub-array state captured into snapshots.
     pub snapshot_bytes: u64,
-    /// `exp()` evaluations served from the memo table.
+    /// Always 0. Kept with [`ModelPerf::exp_memo_misses`] so per-layer
+    /// reports that name them (the benchmark harness's
+    /// `model.exp_memo_hit_ratio`) still compile and read; the leakage
+    /// kernel calls `exp` directly, with no memo in front of it.
     pub exp_memo_hits: u64,
-    /// `exp()` evaluations computed and inserted into the memo table.
+    /// Always 0; see [`ModelPerf::exp_memo_hits`].
     pub exp_memo_misses: u64,
     /// Injected sense-amplifier comparison flips.
     pub fault_sense_flips: u64,
@@ -66,9 +69,10 @@ pub struct ModelPerf {
     /// Leakage passes skipped entirely by the lazy early-outs
     /// (no elapsed time, sub-µs gap, or never-charged row).
     pub leak_row_skips: u64,
-    /// Batched `exp` evaluations (decay-factor vector builds).
+    /// Cold decay-factor vector fills (decay-vector cache misses).
     pub exp_batch_calls: u64,
-    /// Total lanes evaluated across all batched `exp` calls.
+    /// Columns evaluated across all cold decay-factor vector fills, one
+    /// `exp` per column.
     pub exp_batch_lanes: u64,
     /// Decay-factor vectors served from the per-(row, dt) cache.
     pub decay_vec_hits: u64,

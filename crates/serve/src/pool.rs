@@ -357,21 +357,8 @@ impl ShardState {
     }
 
     fn ensure_die(&mut self, id: usize) {
-        if self.dies.contains_key(&id) {
-            return;
-        }
-        let mut fresh = Die::new(&self.cfg, id, 0);
-        // First touch: adopt a sibling die's materialize caches. The new
-        // seed invalidates the per-die buffers (adoption clears them),
-        // but the pure-math exp memo transfers verbatim, so every die
-        // after the shard's first skips the transcendental warm-up.
-        if let Some(donor) = self.dies.values().next() {
-            fresh
-                .mc
-                .module_mut()
-                .install_caches(donor.mc.module().clone_caches());
-        }
-        self.dies.insert(id, fresh);
+        let cfg = &self.cfg;
+        self.dies.entry(id).or_insert_with(|| Die::new(cfg, id, 0));
     }
 
     fn remap(&mut self, id: usize, reason: &str) -> u32 {
@@ -381,16 +368,6 @@ impl ShardState {
         };
         let mut fresh = Die::new(&self.cfg, id, next_gen);
         fresh.seq = seq;
-        // Hand the retired generation's materialize caches to the fresh
-        // die. The new seed invalidates the per-die buffers (adoption
-        // clears them), but the pure-math exp memo survives, so a
-        // remapped die warms up without recomputing transcendentals.
-        if let Some(old) = self.dies.get_mut(&id) {
-            fresh
-                .mc
-                .module_mut()
-                .install_caches(old.mc.module_mut().take_caches());
-        }
         self.dies.insert(id, fresh);
         self.board.record_remap(RemapEvent {
             die: id,
@@ -512,20 +489,29 @@ impl ShardState {
         for idxs in by_die.values() {
             let mut k = 0;
             while k < idxs.len() {
-                let mut m = k;
-                while m < idxs.len() && self.combinable(&reqs[idxs[m]]) {
-                    m += 1;
+                let mut run = Vec::new();
+                for &i in &idxs[k..] {
+                    match self.prepare_combinable(&reqs[i]) {
+                        Some(prepared) => run.push((&reqs[i], prepared)),
+                        None => break,
+                    }
                 }
-                if m - k >= 2 {
-                    let run: Vec<&Request> = idxs[k..m].iter().map(|&i| &reqs[i]).collect();
-                    for (slot, reply) in idxs[k..m].iter().zip(self.execute_run(&run)) {
+                let m = k + run.len();
+                if run.len() >= 2 {
+                    for (slot, reply) in idxs[k..m].iter().zip(self.execute_run(run)) {
                         slots[*slot] = Some(reply);
                     }
-                    k = m;
-                } else {
+                } else if m > k {
                     slots[idxs[k]] = Some(self.execute(&reqs[idxs[k]]));
-                    k += 1;
                 }
+                // The request that ended the span runs alone, without a
+                // second probe: any span members passed the die-state
+                // checks on this same die, so it failed on its op or its
+                // validation, which running the span cannot change.
+                if let Some(&i) = idxs.get(m) {
+                    slots[i] = Some(self.execute(&reqs[i]));
+                }
+                k = m + 1;
             }
         }
         slots
@@ -558,39 +544,45 @@ impl ShardState {
         self.apply(id, req)
     }
 
-    /// Whether `req` may join a coalesced run: a storage op whose
-    /// program we can pre-validate, on a die without fault injection
-    /// (an armed die may glitch mid-program, and a half-executed
-    /// combined program could not be untangled per-request), whose
-    /// breaker is closed (open/half-open dies go through the
-    /// per-request gate), and with chaos die-failure injection disarmed
-    /// (the oracle keys on individual seqs, which a combined program
-    /// cannot honor).
-    fn combinable(&mut self, req: &Request) -> bool {
+    /// The program and extra reply fields of `req` when it may join a
+    /// coalesced run: a storage op whose program we can pre-validate, on
+    /// a die without fault injection (an armed die may glitch
+    /// mid-program, and a half-executed combined program could not be
+    /// untangled per-request), whose breaker is closed (open/half-open
+    /// dies go through the per-request gate), and with chaos die-failure
+    /// injection disarmed (the oracle keys on individual seqs, which a
+    /// combined program cannot honor).
+    fn prepare_combinable(&mut self, req: &Request) -> Option<(Program, Json)> {
         if !matches!(req, Request::Write { .. } | Request::Copy { .. }) {
-            return false;
+            return None;
         }
         if self.chaos.is_some_and(|plan| plan.config().die_fail > 0.0) {
-            return false;
+            return None;
         }
         let id = req.die().expect("write/copy always carry a die");
         if !self.breaker(id).is_closed() {
-            return false;
+            return None;
         }
         self.ensure_die(id);
-        let die = self.dies.get_mut(&id).unwrap();
-        !die.mc.module().faults_enabled() && prepare_program(&die.mc, &self.cfg, req).is_ok()
+        let die = &self.dies[&id];
+        if die.mc.module().faults_enabled() {
+            return None;
+        }
+        prepare_program(&die.mc, &self.cfg, req).ok()
     }
 
-    fn execute_run(&mut self, reqs: &[&Request]) -> Vec<Reply> {
-        let id = reqs[0].die().expect("runs are die-routed");
-        self.ensure_die(id);
-        let die = self.dies.get_mut(&id).unwrap();
+    /// Executes a coalesced run of one die's requests, each with the
+    /// program [`ShardState::prepare_combinable`] built for it.
+    fn execute_run(&mut self, run: Vec<(&Request, (Program, Json))>) -> Vec<Reply> {
+        let id = run[0].0.die().expect("runs are die-routed");
+        let members = run.len();
+        let die = self
+            .dies
+            .get_mut(&id)
+            .expect("prepared runs touched their die");
         let mut combined = Program::builder().build();
-        let mut metas = Vec::with_capacity(reqs.len());
-        for &req in reqs {
-            let (program, extra) =
-                prepare_program(&die.mc, &self.cfg, req).expect("run members pre-validated");
+        let mut metas = Vec::with_capacity(members);
+        for (req, (program, extra)) in run {
             combined.extend_from(&program);
             let seq = die.seq;
             die.seq += 1;
@@ -600,13 +592,13 @@ impl ShardState {
         let generation = die.generation;
         self.board
             .processed
-            .fetch_add(reqs.len() as u64, Ordering::Relaxed);
+            .fetch_add(members as u64, Ordering::Relaxed);
         self.board.batched.fetch_add(1, Ordering::Relaxed);
         let replies = match run {
             Ok(_) => {
                 // Equivalent to a per-request `record_success` for each
-                // run member: `combinable` guaranteed the breaker was
-                // closed, where success only clears the score.
+                // run member: `prepare_combinable` guaranteed the breaker
+                // was closed, where success only clears the score.
                 self.breaker(id).record_success();
                 metas
                     .into_iter()
@@ -990,17 +982,20 @@ mod tests {
     #[test]
     fn cross_die_drain_matches_per_request_execution() {
         // A drain interleaving three dies: each die's requests regroup
-        // and coalesce, yet every reply must be
-        // byte-identical to strict per-request execution and come back
-        // at its input position.
+        // and coalesce, yet every reply must be byte-identical to strict
+        // per-request execution and come back at its input position.
         let cfg = tiny_cfg();
         let lines = [
             r#"{"op":"write","die":0,"bank":0,"row":40,"fill":true}"#,
             r#"{"op":"write","die":1,"bank":1,"row":4,"fill":true}"#,
             r#"{"op":"write","die":0,"bank":0,"row":41,"fill":false}"#,
+            // Fails validation inside die 0's span: it ends the span and
+            // answers 400 on its own.
+            r#"{"op":"copy","die":0,"bank":0,"src":41,"dst":41}"#,
             r#"{"op":"copy","die":1,"bank":1,"src":4,"dst":9}"#,
             r#"{"op":"write","die":2,"bank":1,"row":7,"fill":true,"frac":3}"#,
             r#"{"op":"copy","die":0,"bank":0,"src":40,"dst":44}"#,
+            r#"{"op":"write","die":0,"bank":0,"row":42,"fill":true}"#,
             r#"{"op":"read","die":1,"bank":1,"row":9}"#,
             r#"{"op":"read","die":0,"bank":0,"row":44}"#,
         ];
@@ -1018,21 +1013,27 @@ mod tests {
                 .join("\n")
         };
         assert_eq!(render(&batch_replies), render(&serial_replies));
-        // No two drain-consecutive requests share a die, yet regrouping
-        // coalesces die 0's write/write/copy and die 1's write/copy.
+        let invalid = parse(&batch_replies[3]);
+        assert_eq!(invalid.get("code").unwrap().as_usize(), Some(400));
+        assert_eq!(
+            invalid.get("error").unwrap().as_str(),
+            Some("copy onto itself")
+        );
+        // Regrouping coalesces die 0's write/write and copy/write on
+        // either side of the invalid copy, and die 1's write/copy.
         assert_eq!(
             batched.board.batched.load(Ordering::Relaxed),
-            2,
-            "one combined program each for dies 0 and 1"
+            3,
+            "two combined programs for die 0, one for die 1"
         );
         assert_eq!(
             batched.board.batch_histogram(),
             {
-                let mut h = vec![0u64; 9];
-                h[8] = 1;
+                let mut h = vec![0u64; 11];
+                h[10] = 1;
                 h
             },
-            "one drain of eight requests"
+            "one drain of ten requests"
         );
     }
 

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use fracdram_model::snapshot::ModuleWriteSnapshot;
-use fracdram_model::{BroadcastOp, Cycles, ModelPerf, Module, RowAddr, Seconds};
+use fracdram_model::{Cycles, ModelPerf, Module, RowAddr, Seconds};
 
 use crate::command::{CommandKind, DramCommand};
 use crate::compiled::{program_hash, CompiledProgram};
@@ -105,7 +105,6 @@ pub struct MemoryController {
     anti_masks: HashMap<(usize, usize), Arc<[bool]>>,
     prefix_cache: bool,
     cycle_budget: Option<u64>,
-    intra_jobs: usize,
     read_pool: Vec<Vec<bool>>,
 }
 
@@ -124,7 +123,6 @@ impl MemoryController {
             anti_masks: HashMap::new(),
             prefix_cache: true,
             cycle_budget: None,
-            intra_jobs: 1,
             read_pool: Vec::new(),
         }
     }
@@ -133,20 +131,6 @@ impl MemoryController {
     /// the write-prefix cache and the TRNG refill-prefix cache).
     pub fn prefix_caching(&self) -> bool {
         self.prefix_cache
-    }
-
-    /// Sets the intra-module worker count. With more than one worker
-    /// and a multi-chip module, compiled programs execute their chips
-    /// on parallel scoped threads — byte-exact with sequential
-    /// execution by construction (chips share no mutable state and
-    /// temporal noise is keyed on event fire times).
-    pub fn set_intra_jobs(&mut self, jobs: usize) {
-        self.intra_jobs = jobs.max(1);
-    }
-
-    /// The configured intra-module worker count.
-    pub fn intra_jobs(&self) -> usize {
-        self.intra_jobs
     }
 
     /// The controlled module.
@@ -344,18 +328,6 @@ impl MemoryController {
         } else {
             0
         };
-        if self.intra_jobs > 1 && self.module.chips().len() > 1 {
-            if let Some((ops, times)) = self.plan_intra_ops(program, start_cycle) {
-                return self.run_compiled_intra(
-                    program,
-                    &ops,
-                    &times,
-                    start_cycle,
-                    faults_on,
-                    faults_before,
-                );
-            }
-        }
         let mut reads = Vec::with_capacity(program.reads());
         for inst in program.insts() {
             let t = self.clock;
@@ -398,107 +370,6 @@ impl MemoryController {
                 0
             },
         })
-    }
-
-    /// Pre-times a compiled program for the chip-parallel path: one
-    /// [`BroadcastOp`] and issue cycle per instruction (the clock
-    /// evolution is payload-independent, so it can run ahead of
-    /// execution). Returns `None` when the program must run
-    /// sequentially instead: a write that is not a full module row, or
-    /// a cycle budget the program would blow mid-run (the abort has to
-    /// leave the same partially-executed state a sequential run does).
-    fn plan_intra_ops(
-        &self,
-        program: &CompiledProgram,
-        start: u64,
-    ) -> Option<(Vec<BroadcastOp>, Vec<u64>)> {
-        let width = self.module.row_bits();
-        let mut ops = Vec::with_capacity(program.insts().len());
-        let mut times = Vec::with_capacity(program.insts().len());
-        let mut clock = start;
-        for inst in program.insts() {
-            let t = clock;
-            times.push(t);
-            let bank = inst.bank as usize;
-            ops.push(match inst.kind {
-                CommandKind::Activate => BroadcastOp::Activate {
-                    addr: RowAddr::new(bank, inst.row as usize),
-                    t,
-                },
-                CommandKind::Precharge => BroadcastOp::Precharge { bank, t },
-                CommandKind::Read => BroadcastOp::Read { bank, t },
-                CommandKind::Write => {
-                    let bits = program.payload(inst);
-                    if inst.start_col != 0 || bits.len() != width {
-                        return None;
-                    }
-                    BroadcastOp::Write {
-                        bank,
-                        per_chip: self.module.stripe(bits),
-                        t,
-                    }
-                }
-                CommandKind::Refresh => BroadcastOp::Refresh { bank, t },
-                CommandKind::Nop => BroadcastOp::Nop,
-            });
-            clock = t + 1 + inst.idle_after;
-            if let Some(budget) = self.cycle_budget {
-                if clock - start > budget {
-                    return None;
-                }
-            }
-        }
-        Some((ops, times))
-    }
-
-    /// The chip-parallel twin of the interpreter loop: hands the
-    /// pre-timed ops to [`Module::run_ops`], then records stats, trace,
-    /// and clock exactly as the sequential loop would have — for the
-    /// whole program on success, up to and including the failing
-    /// instruction on error.
-    fn run_compiled_intra(
-        &mut self,
-        program: &CompiledProgram,
-        ops: &[BroadcastOp],
-        times: &[u64],
-        start_cycle: u64,
-        faults_on: bool,
-        faults_before: u64,
-    ) -> Result<RunOutcome> {
-        match self.module.run_ops(ops, self.intra_jobs) {
-            Ok(reads) => {
-                for (inst, &t) in program.insts().iter().zip(times) {
-                    self.stats.record_kind(inst.kind);
-                    if let Some(trace) = &mut self.trace {
-                        trace.record(t, inst.trace_op());
-                    }
-                }
-                self.clock = match program.insts().last() {
-                    Some(last) => times[times.len() - 1] + 1 + last.idle_after,
-                    None => start_cycle,
-                };
-                Ok(RunOutcome {
-                    reads,
-                    start_cycle,
-                    end_cycle: self.clock,
-                    fault_events: if faults_on {
-                        self.module.model_perf().fault_events() - faults_before
-                    } else {
-                        0
-                    },
-                })
-            }
-            Err((op_idx, e)) => {
-                for (inst, &t) in program.insts().iter().zip(times).take(op_idx + 1) {
-                    self.stats.record_kind(inst.kind);
-                    if let Some(trace) = &mut self.trace {
-                        trace.record(t, inst.trace_op());
-                    }
-                }
-                self.clock = times[op_idx];
-                Err(e.into())
-            }
-        }
     }
 
     fn execute_write(
@@ -873,89 +744,6 @@ mod tests {
             mc8.run(&p),
             Err(ControllerError::PartialWriteUnsupported { .. })
         ));
-    }
-
-    #[test]
-    fn intra_jobs_execution_is_byte_identical() {
-        let rank = || {
-            MemoryController::new(Module::new(ModuleConfig::rank(
-                GroupId::B,
-                5,
-                Geometry::tiny(),
-            )))
-        };
-        let mut seq = rank();
-        let mut par = rank();
-        par.set_intra_jobs(4);
-        assert_eq!(par.intra_jobs(), 4);
-        let addr = RowAddr::new(0, 3);
-        let width = seq.module().row_bits();
-        let pattern: Vec<bool> = (0..width).map(|i| i % 3 != 0).collect();
-        let frac = Program::builder().act(addr).pre(0).delay(5).build();
-        let mut reads = Vec::new();
-        for mc in [&mut seq, &mut par] {
-            mc.enable_trace();
-            mc.write_row(addr, &pattern).unwrap();
-            mc.run(&frac).unwrap();
-            reads.push(mc.read_row(addr).unwrap());
-            mc.refresh_all().unwrap();
-            reads.push(mc.read_row(addr).unwrap());
-        }
-        assert_eq!(reads[0], reads[2]);
-        assert_eq!(reads[1], reads[3]);
-        assert_eq!(seq.clock(), par.clock());
-        assert_eq!(seq.stats(), par.stats());
-        // Event/draw counts must match exactly; wall-time counters
-        // legitimately differ between runs.
-        let strip_ns = |mut p: ModelPerf| {
-            p.share_ns = 0;
-            p.sense_ns = 0;
-            p.close_ns = 0;
-            p.leak_ns = 0;
-            p.noise_ns = 0;
-            p
-        };
-        assert_eq!(strip_ns(seq.model_perf()), strip_ns(par.model_perf()));
-        assert_eq!(
-            format!("{:?}", seq.take_trace().unwrap()),
-            format!("{:?}", par.take_trace().unwrap())
-        );
-        for col in [0, 17, width - 1] {
-            let t = seq.clock() + 1_000;
-            assert_eq!(
-                seq.module_mut().probe_cell_voltage(addr, col, t),
-                par.module_mut().probe_cell_voltage(addr, col, t),
-                "col {col}"
-            );
-        }
-    }
-
-    #[test]
-    fn intra_jobs_budget_abort_matches_sequential() {
-        let rank = || {
-            let mut mc = MemoryController::new(Module::new(ModuleConfig::rank(
-                GroupId::B,
-                5,
-                Geometry::tiny(),
-            )));
-            mc.set_cycle_budget(Some(10));
-            mc
-        };
-        let mut seq = rank();
-        let mut par = rank();
-        par.set_intra_jobs(4);
-        let p = Program::builder()
-            .act(RowAddr::new(0, 1))
-            .delay(6)
-            .pre(0)
-            .delay(20)
-            .build();
-        let a = seq.run(&p);
-        let b = par.run(&p);
-        assert!(matches!(a, Err(ControllerError::BudgetExceeded { .. })));
-        assert!(matches!(b, Err(ControllerError::BudgetExceeded { .. })));
-        assert_eq!(seq.clock(), par.clock());
-        assert_eq!(seq.stats(), par.stats());
     }
 
     #[test]
