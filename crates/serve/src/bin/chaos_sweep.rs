@@ -317,8 +317,7 @@ fn chaos_round(chaos_seed: u64, density: f64, dir: &Path) -> RoundReport {
         sweep.push('\n');
     }
     counters.absorb(handle.board());
-    let report = handle.join();
-    drop(report);
+    handle.join();
     let _ = std::fs::remove_dir_all(dir);
 
     RoundReport {

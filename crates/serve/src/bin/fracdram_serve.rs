@@ -2,11 +2,14 @@
 //!
 //! Serves TRNG / PUF / Frac-storage endpoints over line-delimited JSON
 //! on a TCP socket (see `fracdram_serve::protocol`), or — with
-//! `--replay` — re-executes a recorded canonical request log offline
-//! and prints the byte-reproducible response log.
+//! `--replay` — re-executes a canonical request log offline and prints
+//! the byte-reproducible response log. The write-ahead log is the only
+//! journal: `--record-requests`/`--record-responses` and
+//! `--recover-dump` all read the logs back from `--wal-dir`.
 //!
 //! ```text
-//! cargo run --release -p fracdram-serve --bin fracdram-serve -- --port 4717
+//! cargo run --release -p fracdram-serve --bin fracdram-serve -- --port 4717 \
+//!     --wal-dir wal --record-requests requests.log
 //! cargo run --release -p fracdram-serve --bin fracdram-serve -- \
 //!     --replay requests.log --out replay.log
 //! ```
@@ -73,11 +76,12 @@ fn main() {
             ),
             (
                 "record-requests",
-                "write the canonical request log here on shutdown",
+                "on shutdown, write the canonical request log of the whole \
+                 journaled history here (needs --wal-dir)",
             ),
             (
                 "record-responses",
-                "write the matching response log here on shutdown",
+                "on shutdown, write the matching response log here (needs --wal-dir)",
             ),
             (
                 "replay",
@@ -87,7 +91,7 @@ fn main() {
             (
                 "wal-dir",
                 "journal every executed request here and recover from it at startup \
-                 (default: off, in-memory only)",
+                 (default: off, nothing is journaled)",
             ),
             (
                 "recover-dump",
@@ -183,6 +187,13 @@ fn main() {
     let record_requests = args.str("record-requests").map(str::to_string);
     let record_responses = args.str("record-responses").map(str::to_string);
     args.reject_unknown();
+    if (record_requests.is_some() || record_responses.is_some()) && cfg.wal_dir.is_none() {
+        eprintln!(
+            "error: --record-requests/--record-responses need --wal-dir \
+             (the logs are read back from the journal)"
+        );
+        std::process::exit(2);
+    }
 
     if let Some(dir) = recover_dump {
         if !dir.is_dir() {
@@ -208,12 +219,7 @@ fn main() {
             },
             recovery.torn
         );
-        if out == "-" {
-            print!("{}", recovery.response_log);
-        } else if let Err(e) = std::fs::write(&out, &recovery.response_log) {
-            eprintln!("error: cannot write --out {out}: {e}");
-            std::process::exit(1);
-        }
+        write_output("out", &out, &recovery.response_log);
         return;
     }
 
@@ -226,12 +232,7 @@ fn main() {
             eprintln!("error: replay failed: {e}");
             std::process::exit(1);
         });
-        if out == "-" {
-            print!("{responses}");
-        } else if let Err(e) = std::fs::write(&out, &responses) {
-            eprintln!("error: cannot write --out {out}: {e}");
-            std::process::exit(1);
-        }
+        write_output("out", &out, &responses);
         return;
     }
 
@@ -255,16 +256,32 @@ fn main() {
         "fracdram-serve: drained — {} request(s) served, {} shed",
         report.processed, report.shed
     );
+    if record_requests.is_none() && record_responses.is_none() {
+        return;
+    }
+    // join() sealed every shard's journal, so this reads back the whole
+    // journaled history, earlier incarnations included: exactly what a
+    // replay must start from to reproduce these dies.
+    let dir = cfg.wal_dir.as_deref().expect("checked before binding");
+    let recovery = recover(&cfg, dir).unwrap_or_else(|e| {
+        eprintln!("error: cannot read the journal back for recording: {e}");
+        std::process::exit(1);
+    });
     if let Some(path) = record_requests {
-        if let Err(e) = std::fs::write(&path, &report.request_log) {
-            eprintln!("error: cannot write --record-requests {path}: {e}");
-            std::process::exit(1);
-        }
+        write_output("record-requests", &path, &recovery.request_log);
     }
     if let Some(path) = record_responses {
-        if let Err(e) = std::fs::write(&path, &report.response_log) {
-            eprintln!("error: cannot write --record-responses {path}: {e}");
-            std::process::exit(1);
-        }
+        write_output("record-responses", &path, &recovery.response_log);
+    }
+}
+
+/// Writes `text` to `path`, or to stdout when `path` is `-`; exits 1
+/// naming `--flag` when the file cannot be written.
+fn write_output(flag: &str, path: &str, text: &str) {
+    if path == "-" {
+        print!("{text}");
+    } else if let Err(e) = std::fs::write(path, text) {
+        eprintln!("error: cannot write --{flag} {path}: {e}");
+        std::process::exit(1);
     }
 }

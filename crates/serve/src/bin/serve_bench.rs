@@ -177,12 +177,9 @@ fn main() {
                 "request index at which the die is marked bad (default requests/2)",
             ),
             (
-                "record",
-                "embedded mode: write PREFIX.requests.log / PREFIX.responses.log",
-            ),
-            (
                 "wal-dir",
-                "embedded mode: journal to (and recover from) this WAL directory",
+                "embedded mode: journal to (and recover from) this WAL directory; \
+                 fracdram-serve --recover-dump reads its logs back",
             ),
             ("json", "write p50/p99/ns-per-req bench records here"),
             (
@@ -210,17 +207,12 @@ fn main() {
     };
     let fault_die = args.usize("fault-die", usize::MAX);
     let fault_at = args.usize("fault-at", requests / 2);
-    let record = args.str("record").map(str::to_string);
     let json_path = args.str("json").map(str::to_string);
     let send_shutdown = args.flag("shutdown");
     args.reject_unknown();
 
     if fault_die != usize::MAX && fault_die >= dies {
         eprintln!("error: --fault-die {fault_die} out of range (pool has {dies} dies)");
-        std::process::exit(2);
-    }
-    if external.is_some() && record.is_some() {
-        eprintln!("error: --record only works in embedded mode (the daemon records its own logs)");
         std::process::exit(2);
     }
 
@@ -346,22 +338,6 @@ fn main() {
             "serve_bench: server drained — {} processed, {} shed",
             report.processed, report.shed
         );
-        if let Some(prefix) = record {
-            for (suffix, text) in [
-                ("requests.log", &report.request_log),
-                ("responses.log", &report.response_log),
-            ] {
-                let path = format!("{prefix}.{suffix}");
-                if let Err(e) = std::fs::write(&path, text) {
-                    eprintln!("error: cannot write {path}: {e}");
-                    std::process::exit(1);
-                }
-            }
-            println!(
-                "serve_bench: recorded canonical logs at {record_prefix}.*.log",
-                record_prefix = prefix
-            );
-        }
     }
 
     if let Some(path) = json_path {

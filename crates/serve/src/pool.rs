@@ -16,9 +16,9 @@
 //! fault config, empty enrollment cache) takes over the id. The failed
 //! operation is retried once on the fresh die; clients observe the bump
 //! through the `"gen"` response field, and the `"status"` endpoint
-//! lists every remap.
+//! lists the most recent remaps and counts them all.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -183,14 +183,22 @@ pub struct StatusBoard {
     pub chaos_drops: AtomicU64,
     /// Chaos-injected shard stalls actually fired.
     pub chaos_stalls: AtomicU64,
+    /// Remaps since startup, including those [`StatusBoard::remaps`]
+    /// no longer lists.
+    pub remap_count: AtomicU64,
     /// Per-shard queue gauges (empty until [`StatusBoard::for_shards`]).
     gauges: Vec<ShardGauge>,
     /// Drain-size histogram: `hist[n]` counts drains of exactly `n`
     /// requests.
     batch_hist: Mutex<Vec<u64>>,
-    /// Every remap since startup, oldest first.
-    remaps: Mutex<Vec<RemapEvent>>,
+    /// The most recent remaps, oldest first; older ones are only
+    /// counted in `remap_count`, so the board stays bounded however
+    /// many dies are retired.
+    remaps: Mutex<VecDeque<RemapEvent>>,
 }
+
+/// How many remaps [`StatusBoard::remaps`] keeps.
+pub(crate) const REMAP_LOG_CAP: usize = 64;
 
 impl StatusBoard {
     /// A board with one queue gauge per shard.
@@ -247,18 +255,18 @@ impl StatusBoard {
     }
 
     fn record_remap(&self, event: RemapEvent) {
-        self.remaps
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(event);
+        self.remap_count.fetch_add(1, Ordering::Relaxed);
+        let mut remaps = self.remaps.lock().unwrap_or_else(PoisonError::into_inner);
+        if remaps.len() == REMAP_LOG_CAP {
+            remaps.pop_front();
+        }
+        remaps.push_back(event);
     }
 
-    /// All remaps so far, oldest first.
+    /// The last 64 remaps, oldest first.
     pub fn remaps(&self) -> Vec<RemapEvent> {
-        self.remaps
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
+        let remaps = self.remaps.lock().unwrap_or_else(PoisonError::into_inner);
+        remaps.iter().cloned().collect()
     }
 }
 

@@ -1,16 +1,20 @@
 //! End-to-end tests of the daemon over real loopback TCP: replay
 //! determinism, concurrent-vs-serial equivalence, fault degradation,
-//! and queue backpressure.
+//! and queue backpressure. Tests that check a run's canonical logs
+//! journal to a fresh WAL directory and read the logs back with
+//! [`recover`], the daemon's only journal.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
 use fracdram_experiments::Json;
-use fracdram_serve::{run_replay, start, ServeConfig, ServerHandle};
+use fracdram_serve::{recover, run_replay, start, Recovery, ServeConfig, ServerHandle};
 
 struct Client {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
+    /// Every response line this client received, in arrival order.
+    received: Vec<String>,
 }
 
 impl Client {
@@ -19,6 +23,7 @@ impl Client {
         Client {
             writer: stream.try_clone().expect("clone stream"),
             reader: BufReader::new(stream),
+            received: Vec::new(),
         }
     }
 
@@ -29,7 +34,9 @@ impl Client {
         let mut response = String::new();
         self.reader.read_line(&mut response).expect("receive");
         assert!(!response.is_empty(), "server closed mid-request");
-        response.trim_end().to_string()
+        let response = response.trim_end().to_string();
+        self.received.push(response.clone());
+        response
     }
 }
 
@@ -39,6 +46,54 @@ fn small_cfg() -> ServeConfig {
         shards: 2,
         ..ServeConfig::default()
     }
+}
+
+/// `cfg` journaling to a fresh, empty WAL directory named after `tag`.
+fn with_fresh_wal(cfg: ServeConfig, tag: &str) -> ServeConfig {
+    let dir = std::env::temp_dir().join(format!("fracdram-daemon-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    ServeConfig {
+        wal_dir: Some(dir),
+        ..cfg
+    }
+}
+
+/// The die-routed lines among `received`, sorted into the journal's
+/// canonical `(die, seq)` order, one per line. Front-end answers
+/// (status, sheds, parse errors) carry no seq and are left out.
+fn canonical_order(received: &[String]) -> String {
+    let mut keyed: Vec<((usize, u64), &str)> = received
+        .iter()
+        .filter_map(|line| {
+            let doc = Json::parse(line).ok()?;
+            let key = (doc.get("die")?.as_usize()?, doc.get("seq")?.as_u64()?);
+            Some((key, line.as_str()))
+        })
+        .collect();
+    keyed.sort();
+    keyed.iter().map(|(_, line)| format!("{line}\n")).collect()
+}
+
+/// Reads the joined daemon's canonical logs back from its WAL, checks
+/// that the response log is exactly what the clients received and that
+/// replaying the request log reproduces it, removes the WAL, and
+/// returns the recovery.
+fn check_journal(cfg: &ServeConfig, received: &[String]) -> Recovery {
+    let dir = cfg.wal_dir.as_deref().expect("test runs with a WAL");
+    let recovery = recover(cfg, dir).expect("recover the journal");
+    assert!(recovery.sealed, "a joined daemon leaves a sealed journal");
+    assert_eq!(
+        recovery.response_log,
+        canonical_order(received),
+        "the journal must hold exactly the responses sent on the sockets"
+    );
+    let replayed = run_replay(cfg, &recovery.request_log).expect("replay");
+    assert_eq!(
+        replayed, recovery.response_log,
+        "replayed response log must be byte-identical"
+    );
+    let _ = std::fs::remove_dir_all(dir);
+    recovery
 }
 
 /// The mixed per-client workload both halves of the equivalence tests
@@ -75,7 +130,7 @@ fn workload(die: usize, requests: usize) -> Vec<String> {
 
 #[test]
 fn replayed_request_log_reproduces_responses_byte_for_byte() {
-    let cfg = small_cfg();
+    let cfg = with_fresh_wal(small_cfg(), "replay");
     let handle = start(cfg.clone()).expect("start server");
     // Three clients race on two dies, so live arrival order on each die
     // is genuinely nondeterministic; the canonical log pins it down.
@@ -88,49 +143,46 @@ fn replayed_request_log_reproduces_responses_byte_for_byte() {
                     let response = client.send(line);
                     assert!(response.contains("\"ok\":true"), "failed: {response}");
                 }
+                client.received
             })
         })
         .collect();
+    let mut received = Vec::new();
     for worker in workers {
-        worker.join().expect("client panicked");
+        received.extend(worker.join().expect("client panicked"));
     }
     handle.stop();
     let report = handle.join();
     assert_eq!(report.processed, 63);
     assert_eq!(report.shed, 0);
-    assert_eq!(
-        report.request_log.lines().count(),
-        report.response_log.lines().count()
-    );
 
-    let replayed = run_replay(&cfg, &report.request_log).expect("replay");
-    assert_eq!(
-        replayed, report.response_log,
-        "replayed response log must be byte-identical"
-    );
+    let recovery = check_journal(&cfg, &received);
+    assert_eq!(recovery.request_log.lines().count(), 63);
 }
 
 #[test]
 fn concurrent_clients_match_single_client_ground_truth() {
-    let cfg = small_cfg();
     let per_client = 14;
 
     // Ground truth: one client drains each die's workload serially.
-    let serial = start(cfg.clone()).expect("start serial server");
-    {
-        let mut client = Client::connect(&serial);
-        for die in 0..cfg.dies {
-            for line in workload(die, per_client) {
-                client.send(&line);
-            }
+    let serial_cfg = with_fresh_wal(small_cfg(), "serial");
+    let serial = start(serial_cfg.clone()).expect("start serial server");
+    let mut client = Client::connect(&serial);
+    for die in 0..serial_cfg.dies {
+        for line in workload(die, per_client) {
+            client.send(&line);
         }
     }
+    let serial_received = std::mem::take(&mut client.received);
+    drop(client);
     serial.stop();
-    let serial_report = serial.join();
+    serial.join();
+    let serial_log = check_journal(&serial_cfg, &serial_received);
 
     // Same per-die request streams, now from racing client threads.
-    let concurrent = start(cfg.clone()).expect("start concurrent server");
-    let workers: Vec<_> = (0..cfg.dies)
+    let concurrent_cfg = with_fresh_wal(small_cfg(), "concurrent");
+    let concurrent = start(concurrent_cfg.clone()).expect("start concurrent server");
+    let workers: Vec<_> = (0..concurrent_cfg.dies)
         .map(|die| {
             let mut client = Client::connect(&concurrent);
             let lines = workload(die, per_client);
@@ -138,26 +190,32 @@ fn concurrent_clients_match_single_client_ground_truth() {
                 for line in &lines {
                     client.send(line);
                 }
+                client.received
             })
         })
         .collect();
+    let mut concurrent_received = Vec::new();
     for worker in workers {
-        worker.join().expect("client panicked");
+        concurrent_received.extend(worker.join().expect("client panicked"));
     }
     concurrent.stop();
-    let concurrent_report = concurrent.join();
+    concurrent.join();
+    let concurrent_log = check_journal(&concurrent_cfg, &concurrent_received);
 
-    assert_eq!(concurrent_report.response_log, serial_report.response_log);
-    assert_eq!(concurrent_report.request_log, serial_report.request_log);
+    assert_eq!(concurrent_log.response_log, serial_log.response_log);
+    assert_eq!(concurrent_log.request_log, serial_log.request_log);
 }
 
 #[test]
 fn die_marked_bad_mid_stream_remaps_without_losing_requests() {
-    let cfg = ServeConfig {
-        dies: 2,
-        shards: 1,
-        ..ServeConfig::default()
-    };
+    let cfg = with_fresh_wal(
+        ServeConfig {
+            dies: 2,
+            shards: 1,
+            ..ServeConfig::default()
+        },
+        "remap",
+    );
     let handle = start(cfg.clone()).expect("start server");
     let mut client = Client::connect(&handle);
 
@@ -211,14 +269,15 @@ fn die_marked_bad_mid_stream_remaps_without_losing_requests() {
     assert_eq!(remaps.len(), 1);
     assert_eq!(remaps[0].get("die").unwrap().as_usize(), Some(0));
     assert_eq!(remaps[0].get("gen").unwrap().as_usize(), Some(1));
+    assert_eq!(status.get("remap_count").unwrap().as_usize(), Some(1));
 
+    let received = std::mem::take(&mut client.received);
     drop(client);
     handle.stop();
     let report = handle.join();
     assert_eq!(report.shed, 0);
     // And the whole degraded run replays byte-for-byte.
-    let replayed = run_replay(&cfg, &report.request_log).expect("replay");
-    assert_eq!(replayed, report.response_log);
+    check_journal(&cfg, &received);
 }
 
 #[test]

@@ -5,7 +5,8 @@
 //! the workload plus a full read-back sweep must match an uninterrupted
 //! control run byte-for-byte. Acknowledge-after-log is the invariant
 //! under test: every response the client saw before the kill must be
-//! reconstructed from the journal alone.
+//! reconstructed from the journal alone. A graceful restart must also
+//! record the whole journaled history, so its logs replay exactly.
 
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -26,10 +27,16 @@ impl Daemon {
     /// its stderr banner. Remaining stderr drains in a background
     /// thread so a chatty shutdown can never fill the pipe.
     fn spawn(wal_dir: Option<&std::path::Path>) -> Daemon {
+        Daemon::spawn_with(wal_dir, &[])
+    }
+
+    /// [`Daemon::spawn`] with extra command-line arguments.
+    fn spawn_with(wal_dir: Option<&std::path::Path>, extra: &[&std::ffi::OsStr]) -> Daemon {
         let mut cmd = Command::new(SERVE_BIN);
         cmd.args([
             "--port", "0", "--dies", "3", "--shards", "2", "--cols", "64",
         ])
+        .args(extra)
         .stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::piped());
@@ -226,18 +233,87 @@ fn sigkilled_daemon_recovers_every_acked_request() {
 /// Runs `fracdram-serve --recover-dump` offline and returns the
 /// recovered response log.
 fn recover_dump(wal_dir: &std::path::Path) -> String {
+    offline("--recover-dump", wal_dir)
+}
+
+/// Runs `fracdram-serve --replay` offline on a request log and returns
+/// the replayed response log.
+fn replay(requests: &std::path::Path) -> String {
+    offline("--replay", requests)
+}
+
+fn offline(mode: &str, path: &std::path::Path) -> String {
     let output = Command::new(SERVE_BIN)
         .args(["--dies", "3", "--shards", "2", "--cols", "64"])
-        .arg("--recover-dump")
-        .arg(wal_dir)
+        .arg(mode)
+        .arg(path)
         .output()
-        .expect("run --recover-dump");
+        .unwrap_or_else(|e| panic!("run {mode}: {e}"));
     assert!(
         output.status.success(),
-        "--recover-dump failed: {}",
+        "{mode} failed: {}",
         String::from_utf8_lossy(&output.stderr)
     );
-    String::from_utf8(output.stdout).expect("utf-8 dump")
+    String::from_utf8(output.stdout).expect("utf-8 output")
+}
+
+#[test]
+fn restarted_daemon_records_the_whole_journal() {
+    // Two graceful incarnations on one WAL, each recording its logs on
+    // shutdown. The second one's dies carry the first one's history, so
+    // its logs are only replayable if they cover the whole journal.
+    let wal_dir = temp_dir("restart");
+    let logs = temp_dir("restart-logs");
+    std::fs::create_dir_all(&logs).expect("create log dir");
+    let mut received = Vec::new();
+    let mut recorded = Vec::new();
+    for incarnation in 0..2 {
+        let requests = logs.join(format!("requests-{incarnation}.log"));
+        let responses = logs.join(format!("responses-{incarnation}.log"));
+        let daemon = Daemon::spawn_with(
+            Some(&wal_dir),
+            &[
+                "--record-requests".as_ref(),
+                requests.as_os_str(),
+                "--record-responses".as_ref(),
+                responses.as_os_str(),
+            ],
+        );
+        {
+            let mut client = daemon.connect();
+            let half = WORKLOAD / 2;
+            for index in incarnation * half..(incarnation + 1) * half {
+                let response = client.send(&request_line(index));
+                assert!(response.contains("\"ok\":true"), "failed: {response}");
+                received.push(response);
+            }
+        }
+        daemon.shutdown();
+        let responses = std::fs::read_to_string(&responses).expect("read recorded responses");
+        assert_eq!(
+            replay(&requests),
+            responses,
+            "incarnation {incarnation}'s recorded request log must replay to its response log"
+        );
+        recorded.push(responses);
+    }
+
+    let whole = &recorded[1];
+    assert_eq!(
+        whole,
+        &recover_dump(&wal_dir),
+        "the record flags read the WAL"
+    );
+    assert_eq!(whole.lines().count(), WORKLOAD);
+    let whole_set: BTreeSet<&str> = whole.lines().collect();
+    for response in &received {
+        assert!(
+            whole_set.contains(response.as_str()),
+            "a response from either incarnation is missing: {response}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&wal_dir);
+    let _ = std::fs::remove_dir_all(&logs);
 }
 
 #[test]
