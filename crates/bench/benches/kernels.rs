@@ -176,8 +176,8 @@ fn bench_controller_caches(c: &mut Criterion) {
     use fracdram_model::{Geometry, Module, ModuleConfig, RowAddr};
     use fracdram_softmc::MemoryController;
 
-    // Write-prefix snapshot restore: after the first (capturing) write,
-    // every repeated full-row write to the same row is a restore.
+    // Live full-row write: the fixed ACT/WRITE/PRE sequence every trial
+    // loop issues to rewrite its operand rows.
     let mut mc = MemoryController::new(Module::new(ModuleConfig::single_chip(
         GroupId::B,
         0xBEEF,
@@ -191,7 +191,7 @@ fn bench_controller_caches(c: &mut Criterion) {
     let addr = RowAddr::new(0, 3);
     let bits = vec![true; mc.module().row_bits()];
     mc.write_row(addr, &bits).unwrap();
-    c.bench_function("kernels/snapshot_restore", |b| {
+    c.bench_function("kernels/write_row", |b| {
         b.iter(|| mc.write_row(addr, &bits).unwrap())
     });
 

@@ -92,7 +92,7 @@ pub use multirow::Capabilities;
 pub use puf::{Challenge, PUF_FRAC_OPS};
 pub use retention::{CategoryShares, CellCategory, RetentionBucket};
 pub use rowsets::{Quad, Triplet};
-pub use session::{FracDram, PrefixStats, TrialRunner};
+pub use session::{FracDram, TrialRunner};
 pub use ternary::{TernaryStore, Trit};
 pub use trng::Trng;
 pub use verify::{FracPlacement, VerifySetup};

@@ -10,10 +10,10 @@
 //! — fractional values are destroyed by any row activation.
 //!
 //! [`TrialRunner`] is the repeated-trial harness: the paper's stability
-//! and coverage measurements run the same operand-write prefix thousands
-//! of times per cell, which the controller serves from its write-prefix
-//! snapshot cache; the runner scopes those trials and reports how much
-//! of the prefix work was restored rather than replayed.
+//! and coverage measurements rewrite the same operand rows thousands of
+//! times per cell before the one command sequence that varies; the
+//! runner scopes those trials, leases them reusable row buffers, and
+//! reports the fault events they observed.
 
 use std::collections::BTreeSet;
 
@@ -302,17 +302,6 @@ impl From<Module> for FracDram {
     }
 }
 
-/// Write-prefix cache activity within one [`TrialRunner`] scope.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PrefixStats {
-    /// Full-row writes served by restoring a snapshot.
-    pub hits: u64,
-    /// Full-row writes that replayed live and (re)captured.
-    pub misses: u64,
-    /// Bytes captured by the misses.
-    pub bytes: u64,
-}
-
 /// A pool of reusable full-width row buffers for trial hot loops.
 ///
 /// Measurement bodies take buffers at the top of a trial and give them
@@ -365,16 +354,11 @@ impl RowArena {
 
 /// Scopes a repeated-trial measurement over one controller.
 ///
-/// Each trial re-runs a shared init/write prefix (operand rows,
-/// patterns) before the one command sequence that varies; the
-/// controller executes that prefix once per (bank, row, environment),
-/// snapshots the sub-array state it leaves, and restores per trial.
-/// The runner itself only sequences the trials and deltas the snapshot
-/// counters, so a body observes exactly the controller it would have
-/// been handed in a hand-written loop. Restores are exact by
-/// construction: temporal noise is keyed by each event's absolute fire
-/// time and coordinates, never by draw order, so a restored trial sees
-/// the same noise a live replay would.
+/// Each trial rewrites its operand rows (a live `write_row` apiece)
+/// before the one command sequence that varies. The runner itself only
+/// sequences the trials and deltas the fault counters, so a body
+/// observes exactly the controller it would have been handed in a
+/// hand-written loop.
 #[derive(Debug)]
 pub struct TrialRunner<'a> {
     mc: &'a mut MemoryController,
@@ -414,16 +398,6 @@ impl<'a> TrialRunner<'a> {
     /// The controller under measurement.
     pub fn controller(&mut self) -> &mut MemoryController {
         self.mc
-    }
-
-    /// Snapshot-cache activity since the scope opened.
-    pub fn prefix_stats(&self) -> PrefixStats {
-        let now = self.mc.model_perf();
-        PrefixStats {
-            hits: now.snapshot_hits - self.baseline.snapshot_hits,
-            misses: now.snapshot_misses - self.baseline.snapshot_misses,
-            bytes: now.snapshot_bytes - self.baseline.snapshot_bytes,
-        }
     }
 
     /// Injected-fault events observed since the scope opened — lets a
@@ -537,30 +511,6 @@ mod tests {
         assert_eq!(r.len(), 64);
         assert!(s.fractional_rows().is_empty());
         s.refresh().unwrap();
-    }
-
-    #[test]
-    fn trial_runner_reports_prefix_hits() {
-        let mut mc = MemoryController::new(Module::new(ModuleConfig::single_chip(
-            GroupId::B,
-            1,
-            Geometry::tiny(),
-        )));
-        let row = RowAddr::new(0, 2);
-        let mut runner = TrialRunner::new(&mut mc);
-        let reads = runner.run(5, |mc, i| {
-            let pattern = vec![i % 2 == 0; 64];
-            mc.write_row(row, &pattern).unwrap();
-            mc.read_row(row).unwrap()
-        });
-        assert_eq!(reads.len(), 5);
-        for (i, bits) in reads.iter().enumerate() {
-            assert_eq!(bits, &vec![i % 2 == 0; 64]);
-        }
-        let stats = runner.prefix_stats();
-        assert_eq!(stats.misses, 1, "one live capture");
-        assert_eq!(stats.hits, 4, "remaining trials restored");
-        assert!(stats.bytes > 0);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! margin the two trials are i.i.d., so emitted bits are unbiased and
 //! deterministic columns simply never emit.
 
-use fracdram_model::snapshot::ModuleWriteSnapshot;
+use fracdram_model::snapshot::ModuleRowsSnapshot;
 use fracdram_model::{Cycles, Geometry, RowAddr, SubarrayAddr};
 use fracdram_softmc::{CompiledProgram, MemoryController, Program};
 use fracdram_stats::bits::BitVec;
@@ -37,8 +37,8 @@ use crate::rowsets::Quad;
 /// close). The refill is a pure function of the seed rows — every cell
 /// it touches ends at a full rail — so its post-state is identical from
 /// sample to sample. The generator therefore snapshots the post-refill
-/// sub-array state once and restores it on later samples under the same
-/// guards as the controller's write-prefix cache, skipping 4×22 of the
+/// sub-array state once and restores it on later samples whenever that
+/// is provably exact (see `run_refill`), skipping 4×22 of the
 /// 105 command cycles' worth of kernel work per sample. The fire tail
 /// always runs live: that is where the metastable resolution — the
 /// entropy — happens.
@@ -56,7 +56,7 @@ pub struct Trng {
     /// Local rows the refill touches: the four seed rows plus the quad.
     touched_rows: Vec<usize>,
     /// Post-refill sub-array capture, anchored to the refill start.
-    snapshot: Option<ModuleWriteSnapshot>,
+    snapshot: Option<ModuleRowsSnapshot>,
 }
 
 /// Throughput report of a TRNG session.
@@ -153,10 +153,11 @@ impl Trng {
     }
 
     /// Runs the refill prefix, restoring the cached post-refill snapshot
-    /// when it is provably equivalent to a live replay (same guards as
-    /// the controller's write-prefix cache; the refill's post-state is
-    /// rail-exact, so it is independent of both the start clock and
-    /// whatever the previous fire left in the quad).
+    /// when it is provably equivalent to a live replay: no timing guard
+    /// or probe, the bank idle once drained, no excursion window and no
+    /// budget abort inside the refill, and an unchanged environment (the
+    /// refill's post-state is rail-exact, so it is independent of both
+    /// the start clock and whatever the previous fire left in the quad).
     fn run_refill(&mut self, mc: &mut MemoryController) -> Result<()> {
         let sub = self.quad.subarray();
         let total = self.refill_compiled.total_cycles();

@@ -129,34 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn stability_trials_hit_the_prefix_cache() {
-        let mut mc = setup::controller(GroupId::B, setup::compute_geometry(), 9);
-        let geometry = *mc.module().geometry();
-        let quad = Quad::canonical(&geometry, SubarrayAddr::new(0, 0), GroupId::B).expect("quad");
-        let config = FmajConfig::best_for(GroupId::B);
-        stability_fmaj(&mut mc, &quad, &config, 4, &mut Rng::seed_from_u64(7));
-        let perf = mc.model_perf();
-        assert!(
-            perf.snapshot_hits > perf.snapshot_misses,
-            "trial prefix mostly restored: {perf:?}"
-        );
-    }
-
-    #[test]
-    fn stability_results_identical_with_prefix_cache_off() {
-        let run = |cache: bool| {
-            let mut mc = setup::controller(GroupId::B, setup::compute_geometry(), 11);
-            mc.set_prefix_caching(cache);
-            let geometry = *mc.module().geometry();
-            let quad =
-                Quad::canonical(&geometry, SubarrayAddr::new(0, 0), GroupId::B).expect("quad");
-            let config = FmajConfig::best_for(GroupId::B);
-            stability_fmaj(&mut mc, &quad, &config, 4, &mut Rng::seed_from_u64(5))
-        };
-        assert_eq!(run(true), run(false));
-    }
-
-    #[test]
     fn maj3_body_runs_on_group_b() {
         let mut mc = setup::controller(GroupId::B, setup::compute_geometry(), 5);
         let geometry = *mc.module().geometry();

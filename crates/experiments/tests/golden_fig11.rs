@@ -1,12 +1,11 @@
 //! Golden-output regression test for the PUF figure: fig11's stdout
 //! must match the checked-in snapshot.
 //!
-//! fig11 exercises every controller fast path — cached compiled
-//! programs, the write-prefix snapshot restore (each challenge row is
-//! re-written per evaluation), and the counter-keyed noise engine whose
-//! draws must be identical whether a write is replayed or restored — so
-//! any deviation from the replay-everything semantics shows up as a
-//! diff here.
+//! fig11 exercises the controller's hot paths — cached compiled
+//! programs, the live full-row write (each challenge row is re-written
+//! per evaluation) and the counter-keyed noise engine — so any
+//! deviation from the replay-everything semantics shows up as a diff
+//! here.
 //!
 //! Regenerate (only for an intentional, understood behavior change):
 //!

@@ -73,6 +73,9 @@ pub struct Chip {
     perf: ModelPerf,
     cache: MaterializeCache,
     banks: Vec<Bank>,
+    /// Reusable buffer for a WRITE's physical (anti-cell-inverted) bits,
+    /// so the write path allocates nothing per command.
+    write_buf: Vec<bool>,
 }
 
 impl Chip {
@@ -103,6 +106,7 @@ impl Chip {
             perf: ModelPerf::default(),
             cache,
             banks,
+            write_buf: Vec::new(),
         }
     }
 
@@ -202,8 +206,8 @@ impl Chip {
     }
 
     /// Whether no injected excursion window overlaps the cycle range
-    /// `[a, b)` — the snapshot fast path's precondition for both capture
-    /// and restore.
+    /// `[a, b)` — the TRNG refill snapshot's precondition for both
+    /// capture and restore.
     pub fn fault_windows_clear(&self, a: u64, b: u64) -> bool {
         self.silicon
             .faults()
@@ -356,12 +360,21 @@ impl Chip {
         let sub_idx = self.banks[bank]
             .active
             .ok_or(ModelError::BankClosed { bank })?;
+        let cols = self.config.geometry.columns;
+        if start_col + bits.len() > cols {
+            return Err(ModelError::WidthMismatch {
+                got: start_col + bits.len(),
+                expected: cols,
+            });
+        }
+        let mut physical = std::mem::take(&mut self.write_buf);
         let anti = self.anti_columns(bank, sub_idx);
-        let physical: Vec<bool> = bits
-            .iter()
-            .enumerate()
-            .map(|(i, &bit)| bit ^ anti[start_col + i])
-            .collect();
+        physical.clear();
+        physical.extend(
+            bits.iter()
+                .zip(&anti[start_col..start_col + bits.len()])
+                .map(|(&bit, &a)| bit ^ a),
+        );
         let mut ctx = Ctx {
             silicon: &self.silicon,
             env: &env,
@@ -370,7 +383,9 @@ impl Chip {
             perf: &mut self.perf,
             cache: &mut self.cache,
         };
-        self.banks[bank].subarrays[sub_idx].write(&mut ctx, t, start_col, &physical)
+        let written = self.banks[bank].subarrays[sub_idx].write(&mut ctx, t, start_col, &physical);
+        self.write_buf = physical;
+        written
     }
 
     /// REFRESH: internally activates and restores every materialized row
@@ -401,15 +416,15 @@ impl Chip {
     }
 
     // ------------------------------------------------------------------
-    // Write-prefix snapshot support
+    // Prefix snapshot support (the TRNG refill)
     // ------------------------------------------------------------------
 
-    /// Whether a full-row write to sub-array `sub` of `bank` may use the
-    /// snapshot fast path: no probes anywhere in the bank, and every
+    /// Whether a prefix program in sub-array `sub` of `bank` may be served
+    /// from a snapshot: no probes anywhere in the bank, and every
     /// *sibling* sub-array at most waiting on a word-line close.
     ///
-    /// A live write program only ever advances the *target* sub-array
-    /// (its ACTIVATE fires that sub-array's pending events, in scheduled
+    /// A live prefix only ever advances the *target* sub-array (its first
+    /// ACTIVATE fires that sub-array's pending events, in scheduled
     /// order, before opening the row), so [`Chip::drain_bank`] replays
     /// exactly those firings. Temporal noise is a pure function of each
     /// event's fire time and coordinates, so replayed events see the
@@ -469,36 +484,6 @@ impl Chip {
         self.banks[bank].subarrays[state.index()].restore(state, anchor);
         self.banks[bank].active = Some(state.index());
         self.perf.snapshot_hits += 1;
-    }
-
-    /// Overwrites a restored write prefix with a (possibly different)
-    /// full-row *logical* pattern, exactly as [`Chip::write`] would have:
-    /// anti-cell columns inverted, rails driven into the row buffer,
-    /// bit-lines, and every open row at time `t_write`.
-    pub fn rewrite_row(&mut self, bank: usize, sub: usize, bits: &[bool], t_write: u64) {
-        let anti = self.anti_columns(bank, sub);
-        let physical: Vec<bool> = bits
-            .iter()
-            .enumerate()
-            .map(|(i, &bit)| bit ^ anti[i])
-            .collect();
-        let vdd = self.env.vdd.value();
-        self.banks[bank].subarrays[sub].rewrite_rails(&physical, vdd, t_write);
-        // The live write path pins stuck cells after driving the rails;
-        // the restore path must do the same to stay bit-exact. (The fast
-        // path never engages inside an excursion window, so the base
-        // environment is the one in effect.)
-        if self.silicon.cell_faults_enabled() {
-            let mut ctx = Ctx {
-                silicon: &self.silicon,
-                env: &self.env,
-                timing: &self.timing,
-                noise: &self.noise,
-                perf: &mut self.perf,
-                cache: &mut self.cache,
-            };
-            self.banks[bank].subarrays[sub].pin_stuck_open(&mut ctx);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -615,6 +600,25 @@ mod tests {
         // And the sub-array really does contain anti columns.
         let anti = (0..64).filter(|&col| c.is_anti_column(1, 0, col)).count();
         assert!(anti > 10 && anti < 54, "anti count {anti}");
+    }
+
+    #[test]
+    fn partial_write_past_the_row_end_is_rejected() {
+        let mut c = chip(GroupId::B);
+        let addr = RowAddr::new(0, 2);
+        let t = write_row(&mut c, addr, &[true; 64], 100);
+        c.activate(addr, t).unwrap();
+        let err = c.write(0, 60, &[false; 8], t + 10).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ModelError::WidthMismatch {
+                    got: 68,
+                    expected: 64
+                }
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -267,8 +267,8 @@ impl FaultPlan {
     }
 
     /// Whether any excursion window overlaps the cycle range `[a, b)`.
-    /// The write-prefix snapshot cache uses this to refuse both capture
-    /// and restore across a fault window, falling back to a live replay.
+    /// The TRNG refill snapshot uses this to refuse both capture and
+    /// restore across a fault window, falling back to a live replay.
     pub fn excursion_overlaps(&self, a: u64, b: u64) -> bool {
         self.windows.iter().any(|w| w.overlaps(a, b))
     }

@@ -11,7 +11,7 @@ use crate::env::Environment;
 use crate::error::Result;
 use crate::geometry::{Geometry, RowAddr};
 use crate::params::DeviceParams;
-use crate::snapshot::ModuleWriteSnapshot;
+use crate::snapshot::ModuleRowsSnapshot;
 use crate::units::Volts;
 use crate::variation::hash_coords;
 use crate::vendor::{GroupId, VendorProfile};
@@ -153,8 +153,8 @@ impl Module {
     }
 
     /// Whether no chip has an injected excursion window overlapping the
-    /// cycle range `[a, b)` — precondition for the write-prefix snapshot
-    /// fast path under fault injection.
+    /// cycle range `[a, b)` — precondition for the TRNG refill snapshot
+    /// under fault injection.
     pub fn fault_windows_clear(&self, a: u64, b: u64) -> bool {
         self.chips.iter().all(|c| c.fault_windows_clear(a, b))
     }
@@ -293,6 +293,11 @@ impl Module {
                 expected: width,
             });
         }
+        if self.chips.len() == 1 {
+            // One chip: the lane interleave is the identity (see
+            // `read_into`), so the module word is the chip's burst.
+            return self.chips[0].write(bank, 0, bits, t);
+        }
         let per_chip = self.stripe(bits);
         for (chip, data) in self.chips.iter_mut().zip(&per_chip) {
             chip.write(bank, 0, data, t)?;
@@ -301,110 +306,60 @@ impl Module {
     }
 
     // ------------------------------------------------------------------
-    // Write-prefix snapshot support
+    // Prefix snapshot support (the TRNG refill)
     // ------------------------------------------------------------------
 
-    /// Whether a full-row write to sub-array `sub` of `bank` may take
-    /// the snapshot fast path: no command-timing guard (guarded groups
-    /// resolve their own effective times, so their programs must run
-    /// live) and, on every chip, [`Chip::write_fastpath_ready`] — the
-    /// target sub-array free to drain anything pending (a live ACTIVATE
-    /// would fire the same events at the same fire times, and noise is
-    /// keyed on fire time), siblings at most waiting on word-line
-    /// closes, which have no analog outcome.
+    /// Whether a prefix program in sub-array `sub` of `bank` may be served
+    /// from a snapshot: no command-timing guard (guarded groups resolve
+    /// their own effective times, so their programs must run live) and,
+    /// on every chip, [`Chip::write_fastpath_ready`] — the target
+    /// sub-array free to drain anything pending (a live ACTIVATE would
+    /// fire the same events at the same fire times, and noise is keyed
+    /// on fire time), siblings at most waiting on word-line closes,
+    /// which have no analog outcome.
     pub fn write_fastpath_eligible(&self, bank: usize, sub: usize) -> bool {
         !self.profile().timing_guard && self.chips.iter().all(|c| c.write_fastpath_ready(bank, sub))
     }
 
-    /// Fires pending events up to `t` in `bank` on every chip.
+    /// Fires pending events up to `t` in `bank` on every chip — where the
+    /// prefix's first ACTIVATE would have fired them lazily — before a
+    /// snapshot is captured or restored.
     pub fn drain_bank(&mut self, bank: usize, t: u64) {
         for chip in &mut self.chips {
             chip.drain_bank(bank, t);
         }
     }
 
-    /// Whether `bank` is fully idle on every chip.
+    /// Whether `bank` is fully idle on every chip: after
+    /// [`Module::drain_bank`], the condition under which a prefix's
+    /// post-state does not depend on what ran before it.
     pub fn bank_idle(&self, bank: usize) -> bool {
         self.chips.iter().all(|c| c.bank_idle(bank))
     }
 
-    /// Captures the write-prefix state of `(bank, sub, local row)` on
-    /// every chip, relative to `anchor`.
-    pub fn capture_write_snapshot(
-        &mut self,
-        bank: usize,
-        sub: usize,
-        local_row: usize,
-        anchor: u64,
-    ) -> ModuleWriteSnapshot {
-        let env = *self.environment();
-        let states = self
-            .chips
-            .iter_mut()
-            .map(|c| c.capture_subarray(bank, sub, &[local_row], anchor))
-            .collect();
-        ModuleWriteSnapshot { states, env }
-    }
-
-    /// Restores a captured write prefix at `anchor`: reimposes the
-    /// captured sub-array state and overwrites the written row with the
-    /// (possibly different) logical pattern `bits` at time `t_write` —
-    /// byte-identical to replaying the captured write program with
-    /// `bits` as payload. No noise bookkeeping is needed: temporal noise
-    /// is a pure function of each event's fire time and coordinates, and
-    /// the restored program's suffix events fire at the same absolute
-    /// cycles as a live replay would.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `bits` has the wrong width.
-    pub fn restore_write_snapshot(
-        &mut self,
-        snap: &ModuleWriteSnapshot,
-        anchor: u64,
-        bits: &[bool],
-        t_write: u64,
-    ) -> Result<()> {
-        let width = self.row_bits();
-        if bits.len() != width {
-            return Err(crate::error::ModelError::WidthMismatch {
-                got: bits.len(),
-                expected: width,
-            });
-        }
-        let per_chip = self.stripe(bits);
-        for (i, chip) in self.chips.iter_mut().enumerate() {
-            let state = &snap.states[i];
-            chip.restore_subarray(state, anchor);
-            chip.rewrite_row(state.bank(), state.index(), &per_chip[i], t_write);
-        }
-        Ok(())
-    }
-
-    /// Captures the state of `(bank, sub)` for an arbitrary row set on
-    /// every chip, relative to `anchor` — the multi-row generalization
-    /// of [`Module::capture_write_snapshot`] (the TRNG refill prefix
-    /// touches its four seed rows plus the activation quad).
+    /// Captures the state of `(bank, sub)` for the row set `rows` on
+    /// every chip, relative to `anchor` (the TRNG refill prefix touches
+    /// its four seed rows plus the activation quad).
     pub fn capture_rows_snapshot(
         &mut self,
         bank: usize,
         sub: usize,
         rows: &[usize],
         anchor: u64,
-    ) -> ModuleWriteSnapshot {
+    ) -> ModuleRowsSnapshot {
         let env = *self.environment();
         let states = self
             .chips
             .iter_mut()
             .map(|c| c.capture_subarray(bank, sub, rows, anchor))
             .collect();
-        ModuleWriteSnapshot { states, env }
+        ModuleRowsSnapshot { states, env }
     }
 
     /// Reimposes a [`Module::capture_rows_snapshot`] at `anchor`
     /// verbatim — no rewrite step, for prefixes whose data is a
     /// constant of the capture (the TRNG's seed-row refill).
-    pub fn restore_rows_snapshot(&mut self, snap: &ModuleWriteSnapshot, anchor: u64) {
+    pub fn restore_rows_snapshot(&mut self, snap: &ModuleRowsSnapshot, anchor: u64) {
         for (chip, state) in self.chips.iter_mut().zip(&snap.states) {
             chip.restore_subarray(state, anchor);
         }

@@ -45,9 +45,10 @@ pub struct ModelPerf {
     pub noise_fills: u64,
     /// Wall nanoseconds spent filling noise buffers.
     pub noise_ns: u64,
-    /// Write-prefix restores served from a captured snapshot.
+    /// TRNG refill prefixes served from a captured snapshot.
     pub snapshot_hits: u64,
-    /// Write prefixes executed live (and captured for later restores).
+    /// TRNG refill prefixes executed live (and captured for later
+    /// restores).
     pub snapshot_misses: u64,
     /// Bytes of sub-array state captured into snapshots.
     pub snapshot_bytes: u64,

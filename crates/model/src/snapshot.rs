@@ -1,21 +1,22 @@
 //! Snapshot/restore of sub-array dynamic state.
 //!
-//! The paper's experiments repeat the same init/write prefix thousands of
-//! times per (group, sub-array) cell before the one command sequence that
-//! actually varies (the Frac/Half-m/F-MAJ fire). A [`SubArrayState`] is a
-//! memcpy-style capture of everything a full-row write program leaves
-//! behind — charge vectors, bit-line levels, the open-row set, `charged`
-//! flags, and the not-yet-fired close event — stored with *relative* time
-//! offsets so the controller can replay the capture at any later clock.
+//! The TRNG's refill prefix (four RowClone copies that reseed the
+//! activation quad) ends in the same rail-exact state every time, so it
+//! runs live once per (bank, sub-array, environment) and is restored
+//! afterwards. A [`SubArrayState`] is a memcpy-style capture of what
+//! such a prefix leaves behind — charge vectors, bit-line levels, the
+//! open-row set, `charged` flags, and the not-yet-fired close event —
+//! stored with *relative* time offsets so the capture can be reimposed
+//! at any later clock.
 //!
 //! **Determinism argument.** A restore is byte-identical to re-executing
-//! the captured program because (a) after a full-row write the sub-array
-//! state is a pure function of the written pattern and the command
-//! offsets, (b) temporal noise is a pure function of each event's fire
-//! time and coordinates — not of how many draws happened before it — so
-//! suffix events after a restore see exactly the noise a live replay
-//! would, and (c) all absolute times are rebased onto the new anchor,
-//! which is exactly where the replayed program would have put them.
+//! the captured program because (a) the captured post-state is a pure
+//! function of the program and its command offsets, (b) temporal noise
+//! is a pure function of each event's fire time and coordinates — not
+//! of how many draws happened before it — so suffix events after a
+//! restore see exactly the noise a live replay would, and (c) all
+//! absolute times are rebased onto the new anchor, which is exactly
+//! where the replayed program would have put them.
 
 use crate::env::Environment;
 
@@ -71,15 +72,15 @@ impl SubArrayState {
     }
 }
 
-/// A module-wide write-prefix capture: one [`SubArrayState`] per chip for
-/// the written sub-array, and the environment the program ran under.
+/// A module-wide prefix capture: one [`SubArrayState`] per chip for the
+/// captured sub-array, and the environment the program ran under.
 #[derive(Debug, Clone)]
-pub struct ModuleWriteSnapshot {
+pub struct ModuleRowsSnapshot {
     pub(crate) states: Vec<SubArrayState>,
     pub(crate) env: Environment,
 }
 
-impl ModuleWriteSnapshot {
+impl ModuleRowsSnapshot {
     /// The environment the captured program executed under; a restore is
     /// only valid while the module environment is unchanged.
     pub fn environment(&self) -> &Environment {

@@ -372,19 +372,17 @@ impl Subarray {
             });
         }
         let vdd = ctx.env.vdd.value();
-        for (i, &b) in bits.iter().enumerate() {
-            let col = start_col + i;
-            self.sensed_bits[col] = b;
-            let rail = if b { vdd } else { 0.0 };
-            self.bl[col] = rail;
+        let cols = start_col..start_col + bits.len();
+        self.sensed_bits[cols.clone()].copy_from_slice(bits);
+        for (bl, &b) in self.bl[cols.clone()].iter_mut().zip(bits) {
+            *bl = if b { vdd } else { 0.0 };
         }
         for i in 0..self.open.len() {
             let row = self.open[i];
             self.ensure_row(row);
             let rs = self.data[row].as_mut().unwrap();
-            for (i, &b) in bits.iter().enumerate() {
-                rs.v[start_col + i] = if b { vdd } else { 0.0 };
-            }
+            // Every open row takes the rails just driven onto the bit-lines.
+            rs.v[cols.clone()].copy_from_slice(&self.bl[cols.clone()]);
             rs.last = t;
             rs.charged = true;
         }
@@ -1093,28 +1091,6 @@ impl Subarray {
             rs.v.copy_from_slice(&rc.v);
             rs.last = anchor + rc.last_off;
             rs.charged = rc.charged;
-        }
-    }
-
-    /// Reimposes a full-row write's effect on restored state: physical
-    /// bits into the row buffer, rails onto bit-lines and every open row
-    /// — operation-for-operation what [`Subarray::write`] does for a
-    /// sensed full-row write.
-    pub(crate) fn rewrite_rails(&mut self, physical: &[bool], vdd: f64, t_write: u64) {
-        debug_assert_eq!(physical.len(), self.cols);
-        for (col, &b) in physical.iter().enumerate() {
-            self.sensed_bits[col] = b;
-            self.bl[col] = if b { vdd } else { 0.0 };
-        }
-        for i in 0..self.open.len() {
-            let row = self.open[i];
-            self.ensure_row(row);
-            let rs = self.data[row].as_mut().unwrap();
-            for (v, &b) in rs.v.iter_mut().zip(physical) {
-                *v = if b { vdd } else { 0.0 };
-            }
-            rs.last = t_write;
-            rs.charged = true;
         }
     }
 

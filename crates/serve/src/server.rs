@@ -58,7 +58,9 @@ use crate::wal::{self, WalEntry, WalWriter};
 
 struct Envelope {
     request: Request,
-    canonical: String,
+    /// The request's canonical line, rendered on the connection thread
+    /// only when a WAL will journal it (`None` without `--wal-dir`).
+    canonical: Option<String>,
     /// When the connection thread queued the request; the shard sheds
     /// it unexecuted if it is older than the deadline at drain time.
     enqueued: Instant,
@@ -528,6 +530,9 @@ fn shard_loop(mut state: ShardState, rx: Receiver<Envelope>, mut ctx: ShardCtx) 
         // any response line leaves the process.
         if let Some(writer) = ctx.wal.as_mut() {
             for ((canonical, _), reply) in metas.iter().zip(&replies) {
+                let canonical = canonical
+                    .as_deref()
+                    .expect("a WAL daemon renders every request");
                 writer.log(reply.die, reply.seq, canonical);
             }
             match writer.commit() {
@@ -741,7 +746,7 @@ fn handle_line(
                 return LineAction::DropConnection;
             }
             let envelope = Envelope {
-                canonical: request.canonical(),
+                canonical: cfg.wal_dir.is_some().then(|| request.canonical()),
                 request,
                 enqueued: Instant::now(),
                 reply_to: Arc::clone(writer),
