@@ -64,6 +64,9 @@ impl ModuleConfig {
 pub struct Module {
     config: ModuleConfig,
     chips: Vec<Chip>,
+    /// Reused striping buffer of a multi-chip write: chip `i`'s payload
+    /// is `stripe[i * columns..(i + 1) * columns]`.
+    stripe: Vec<bool>,
 }
 
 impl Module {
@@ -81,7 +84,11 @@ impl Module {
                 })
             })
             .collect();
-        Module { config, chips }
+        Module {
+            config,
+            chips,
+            stripe: Vec::new(),
+        }
     }
 
     /// The module configuration.
@@ -171,19 +178,6 @@ impl Module {
             total.accumulate(chip.model_perf());
         }
         total
-    }
-
-    /// Splits a module-wide row pattern into the per-chip payloads the
-    /// byte-lane striping assigns (inverse of the de-striping a module
-    /// read performs). `bits` must be a full module row.
-    pub fn stripe(&self, bits: &[bool]) -> Vec<Vec<bool>> {
-        let chip_cols = self.config.geometry.columns;
-        let mut per_chip = vec![vec![false; chip_cols]; self.chips.len()];
-        for (col, &bit) in bits.iter().enumerate() {
-            let (chip, chip_col) = self.map_column(col);
-            per_chip[chip][chip_col] = bit;
-        }
-        per_chip
     }
 
     /// Maps a module-level column to `(chip index, chip column)` using
@@ -298,8 +292,20 @@ impl Module {
             // `read_into`), so the module word is the chip's burst.
             return self.chips[0].write(bank, 0, bits, t);
         }
-        let per_chip = self.stripe(bits);
-        for (chip, data) in self.chips.iter_mut().zip(&per_chip) {
+        // Byte-lane striping (the inverse of `read_into`'s de-striping):
+        // lane `k` of the module word is chip `k % n`'s lane `k / n`.
+        let n = self.chips.len();
+        let chip_cols = self.config.geometry.columns;
+        self.stripe.resize(width, false);
+        for (k, lane) in bits.chunks(LANE_BITS).enumerate() {
+            let at = (k % n) * chip_cols + (k / n) * LANE_BITS;
+            self.stripe[at..at + lane.len()].copy_from_slice(lane);
+        }
+        for (chip, data) in self
+            .chips
+            .iter_mut()
+            .zip(self.stripe.chunks_exact(chip_cols))
+        {
             chip.write(bank, 0, data, t)?;
         }
         Ok(())
@@ -421,6 +427,44 @@ mod tests {
         let bits = m.read(0, 160).unwrap();
         m.precharge(0, 170).unwrap();
         assert_eq!(bits, pattern);
+    }
+
+    #[test]
+    fn four_chip_write_matches_per_column_striping() {
+        // The per-column striping `Module::write` once allocated per call:
+        // every module column through `map_column` into its own vector.
+        let mut m = module(4);
+        let mut reference = module(4);
+        let width = m.row_bits();
+        let chip_cols = m.geometry().columns;
+        let addr = RowAddr::new(0, 4);
+        for (round, salt) in [3usize, 11, 5].into_iter().enumerate() {
+            let t = 100 + 100 * round as u64;
+            let pattern: Vec<bool> = (0..width).map(|i| (i * salt + round) % 7 < 3).collect();
+            let mut per_chip = vec![vec![false; chip_cols]; 4];
+            for (col, &bit) in pattern.iter().enumerate() {
+                let (chip, chip_col) = m.map_column(col);
+                per_chip[chip][chip_col] = bit;
+            }
+            m.activate(addr, t).unwrap();
+            reference.activate(addr, t).unwrap();
+            m.write(0, &pattern, t + 10).unwrap();
+            for (chip, data) in reference.chips.iter_mut().zip(&per_chip) {
+                chip.write(0, 0, data, t + 10).unwrap();
+            }
+            m.precharge(0, t + 20).unwrap();
+            reference.precharge(0, t + 20).unwrap();
+            m.activate(addr, t + 50).unwrap();
+            reference.activate(addr, t + 50).unwrap();
+            let bits = m.read(0, t + 60).unwrap();
+            assert_eq!(bits, reference.read(0, t + 60).unwrap());
+            assert_eq!(bits, pattern);
+            for (chip, data) in m.chips.iter_mut().zip(&per_chip) {
+                assert_eq!(&chip.read(0, t + 60).unwrap(), data);
+            }
+            m.precharge(0, t + 70).unwrap();
+            reference.precharge(0, t + 70).unwrap();
+        }
     }
 
     #[test]

@@ -56,6 +56,7 @@
 //! ROADMAP.md; deployments that restart periodically should budget for
 //! replay time proportional to total journaled traffic.
 
+use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -73,12 +74,48 @@ use crate::pool::ServeConfig;
 /// FNV-1a 64-bit, the repo's standing cheap content hash (same family
 /// as `softmc::compiled::program_hash`).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut hash = Fnv1a64::new();
+    hash.update(bytes);
+    hash.0
+}
+
+/// Streaming FNV-1a 64: as a `fmt::Write` sink it hashes formatted text
+/// piece by piece, with the same result as hashing the whole string.
+struct Fnv1a64(u64);
+
+impl Fnv1a64 {
+    fn new() -> Self {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
     }
-    hash
+
+    fn update(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= byte as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+impl std::fmt::Write for Fnv1a64 {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// Checksum of one entry: FNV-1a 64 of `"{die} {seq} {request}"`.
+fn entry_checksum(die: usize, seq: u64, request: &str) -> u64 {
+    let mut hash = Fnv1a64::new();
+    write!(hash, "{die} {seq} {request}").expect("hashing cannot fail");
+    hash.0
+}
+
+/// Appends one entry's line to `out` and returns its checksum.
+fn push_entry(out: &mut String, die: usize, seq: u64, request: &str) -> u64 {
+    let checksum = entry_checksum(die, seq, request);
+    writeln!(out, "E {die} {seq} {checksum:016x} {request}")
+        .expect("writing to a String cannot fail");
+    checksum
 }
 
 /// One journaled request.
@@ -94,17 +131,7 @@ pub struct WalEntry {
 
 impl WalEntry {
     fn checksum(&self) -> u64 {
-        fnv1a64(format!("{} {} {}", self.die, self.seq, self.request).as_bytes())
-    }
-
-    fn render(&self) -> String {
-        format!(
-            "E {} {} {:016x} {}\n",
-            self.die,
-            self.seq,
-            self.checksum(),
-            self.request
-        )
+        entry_checksum(self.die, self.seq, &self.request)
     }
 }
 
@@ -185,8 +212,7 @@ impl WalWriter {
         let mut text = format!("fracdram-wal v1 {}\n", fingerprint(cfg));
         let mut acc = 0u64;
         for entry in recovered {
-            acc ^= entry.checksum();
-            text.push_str(&entry.render());
+            acc ^= push_entry(&mut text, entry.die, entry.seq, &entry.request);
         }
         file.write_all(text.as_bytes())?;
         file.sync_data()?;
@@ -205,14 +231,8 @@ impl WalWriter {
 
     /// Stages one entry; nothing is durable until [`WalWriter::commit`].
     pub fn log(&mut self, die: usize, seq: u64, request: &str) {
-        let entry = WalEntry {
-            die,
-            seq,
-            request: request.to_string(),
-        };
-        self.acc ^= entry.checksum();
+        self.acc ^= push_entry(&mut self.pending, die, seq, request);
         self.entries += 1;
-        self.pending.push_str(&entry.render());
     }
 
     /// Writes and fsyncs everything staged since the last commit (one
@@ -362,12 +382,13 @@ fn parse_line(line: &str) -> Option<WalLine> {
             let rest = parts.next()?;
             let (checksum_hex, request) = rest.split_once(' ')?;
             let checksum = u64::from_str_radix(checksum_hex, 16).ok()?;
-            let entry = WalEntry {
-                die,
-                seq,
-                request: request.to_string(),
-            };
-            (entry.checksum() == checksum).then_some(WalLine::Entry(entry))
+            (entry_checksum(die, seq, request) == checksum).then(|| {
+                WalLine::Entry(WalEntry {
+                    die,
+                    seq,
+                    request: request.to_string(),
+                })
+            })
         }
         "S" => {
             let count: u64 = parts.next()?.parse().ok()?;
@@ -508,5 +529,15 @@ mod tests {
         let err = read_shard(&shard_path(&dir, 0), &fingerprint(&other)).unwrap_err();
         assert!(err.contains("fingerprint mismatch"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn entry_lines_hash_and_render_the_formatted_request() {
+        let request = r#"{"op":"write","die":3,"bank":1,"row":7,"bits":"01"}"#;
+        let mut line = String::new();
+        let checksum = push_entry(&mut line, 3, 42, request);
+        let whole = fnv1a64(format!("3 42 {request}").as_bytes());
+        assert_eq!(checksum, whole);
+        assert_eq!(line, format!("E 3 42 {whole:016x} {request}\n"));
     }
 }
