@@ -64,8 +64,9 @@ impl ModuleConfig {
 pub struct Module {
     config: ModuleConfig,
     chips: Vec<Chip>,
-    /// Reused striping buffer of a multi-chip write: chip `i`'s payload
-    /// is `stripe[i * columns..(i + 1) * columns]`.
+    /// Reused striping buffer of a multi-chip write (chip `i`'s payload
+    /// is `stripe[i * columns..(i + 1) * columns]`) and, on a multi-chip
+    /// read, the burst of the chip being de-striped.
     stripe: Vec<bool>,
 }
 
@@ -247,8 +248,9 @@ impl Module {
 
     /// [`Module::read`] into a caller-provided buffer (cleared and
     /// refilled). Single-chip modules — the serve pool and most
-    /// experiments — fill it straight from the chip with no
-    /// intermediate allocation; multi-chip modules de-stripe into it.
+    /// experiments — fill it straight from the chip; multi-chip modules
+    /// read each chip into the reused stripe buffer and de-stripe it
+    /// into `out`. Neither path allocates once the buffers are warm.
     ///
     /// # Errors
     ///
@@ -259,17 +261,17 @@ impl Module {
             // chip's burst already is the module word.
             return self.chips[0].read_into(bank, t, out);
         }
-        let per_chip: Vec<Vec<bool>> = self
-            .chips
-            .iter_mut()
-            .map(|c| c.read(bank, t))
-            .collect::<Result<_>>()?;
-        let width = self.row_bits();
+        // Byte-lane de-striping (the inverse of `write`'s striping):
+        // chip `i`'s lane `j` is lane `j * n + i` of the module word.
+        let n = self.chips.len();
         out.clear();
-        out.resize(width, false);
-        for (col, bit) in out.iter_mut().enumerate() {
-            let (chip, chip_col) = self.map_column(col);
-            *bit = per_chip[chip][chip_col];
+        out.resize(self.row_bits(), false);
+        for (i, chip) in self.chips.iter_mut().enumerate() {
+            chip.read_into(bank, t, &mut self.stripe)?;
+            for (j, lane) in self.stripe.chunks(LANE_BITS).enumerate() {
+                let at = (j * n + i) * LANE_BITS;
+                out[at..at + lane.len()].copy_from_slice(lane);
+            }
         }
         Ok(())
     }
@@ -431,8 +433,11 @@ mod tests {
 
     #[test]
     fn four_chip_write_matches_per_column_striping() {
-        // The per-column striping `Module::write` once allocated per call:
-        // every module column through `map_column` into its own vector.
+        // The per-column striping `Module::write` and `Module::read_into`
+        // once allocated per call: every module column through
+        // `map_column` into its own vector. The chip-level reads pin the
+        // write's striping, and `bits == pattern` on top of them pins the
+        // read's de-striping.
         let mut m = module(4);
         let mut reference = module(4);
         let width = m.row_bits();

@@ -59,7 +59,7 @@ fn main() {
             ),
             (
                 "batch",
-                "max requests coalesced per shard drain (default 8)",
+                "max requests per shard drain (one WAL commit; default 8)",
             ),
             (
                 "cols",

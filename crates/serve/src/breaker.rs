@@ -147,11 +147,6 @@ impl Breaker {
         self.score = 0;
     }
 
-    /// Whether the breaker currently admits normal traffic.
-    pub fn is_closed(&self) -> bool {
-        self.phase == Phase::Closed
-    }
-
     /// Phase name for `status` reporting.
     pub fn phase_name(&self) -> &'static str {
         match self.phase {
@@ -217,7 +212,6 @@ mod tests {
         assert_eq!(b.admit(), Admission::Reject);
         b.reset();
         assert_eq!(b.admit(), Admission::Pass);
-        assert!(b.is_closed());
         assert_eq!(b.phase_name(), "closed");
     }
 }

@@ -103,11 +103,6 @@ impl ChaosPlan {
         }
     }
 
-    /// The configured densities.
-    pub fn config(&self) -> &ChaosConfig {
-        &self.config
-    }
-
     /// Uniform in `[0, 1)` from the event coordinates; the same
     /// coordinates always draw the same number, so a higher density is
     /// a strict superset of a lower one (nested membership).

@@ -14,8 +14,7 @@
 //! * `fault` / `mark-bad` / `status` — fault-injection control,
 //!   administrative die retirement, and the health/remap report.
 //!
-//! Production concerns are the point of the crate: storage requests
-//! coalesce into combined `softmc` programs per die, bounded per-shard
+//! Production concerns are the point of the crate: bounded per-shard
 //! queues shed overload with `503` responses, a die that fails (or
 //! trips its fault-event limit) is remapped to fresh silicon without
 //! dropping requests, and the recorded request log replays to a

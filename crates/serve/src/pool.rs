@@ -7,7 +7,7 @@
 //! noise engine makes all device randomness a function of simulated
 //! time rather than host scheduling, the response to a request depends
 //! only on the *per-die sequence of requests* — never on wall-clock
-//! timing, thread interleaving across dies, or batching. That is the
+//! timing, thread interleaving across dies, or drain size. That is the
 //! invariant the replay golden test pins down.
 //!
 //! Degradation: when an operation fails at the device level, or a die's
@@ -57,9 +57,7 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Bound of each shard's work queue; a full queue sheds with `503`.
     pub queue_depth: usize,
-    /// Maximum requests a shard drains into one batch, coalescing
-    /// consecutive same-die writes/copies into a single compiled
-    /// program.
+    /// Maximum requests per shard drain (one WAL commit).
     pub batch: usize,
     /// Columns per sub-array (row width in bits for these single-chip
     /// dies). Must be a multiple of 4 so hex payloads are exact.
@@ -155,8 +153,6 @@ pub struct StatusBoard {
     pub processed: AtomicU64,
     /// Requests shed with `503` because a shard queue was full.
     pub shed: AtomicU64,
-    /// Combined programs run on behalf of ≥ 2 coalesced requests.
-    pub batched: AtomicU64,
     /// Requests shed with `503` because they aged past
     /// [`ServeConfig::deadline_ms`] in a shard queue.
     pub deadline_shed: AtomicU64,
@@ -385,10 +381,11 @@ impl ShardState {
         next_gen
     }
 
-    /// Executes one die-routed request, returning its response. Part of
-    /// the replay contract: calling this for each request of a per-die
-    /// ordered log yields exactly the responses the live (batching,
-    /// multi-shard) server produced.
+    /// Executes one die-routed request, returning its response. This is
+    /// the only execution path: live drains, recovery and replay all call
+    /// it once per request, so calling it for each request of a per-die
+    /// ordered log yields exactly the responses the live (multi-shard)
+    /// server produced.
     ///
     /// # Panics
     ///
@@ -479,53 +476,12 @@ impl ShardState {
         Reply { die: id, seq, line }
     }
 
-    /// Executes a drained batch. The drain is partitioned by die first
-    /// (stable within each die, which is the only order the replay
-    /// contract fixes), and each die's combinable spans — consecutive
-    /// *within the die*, not within the drain — coalesce into combined
-    /// programs. Replies land back at their input positions. The result
-    /// is bit-identical to per-request execution because the controller
-    /// clock advances purely per-instruction — see DESIGN.md.
+    /// Executes a drained batch: one [`ShardState::execute`] per request,
+    /// in drain order. The drain is the WAL's group-commit unit, not an
+    /// execution unit — replies are exactly the per-request ones.
     pub fn execute_batch(&mut self, reqs: &[Request]) -> Vec<Reply> {
         self.board.record_drain(reqs.len());
-        let mut by_die: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, req) in reqs.iter().enumerate() {
-            let die = req.die().expect("only die-routed requests reach a shard");
-            by_die.entry(die).or_default().push(i);
-        }
-        let mut slots: Vec<Option<Reply>> = reqs.iter().map(|_| None).collect();
-        for idxs in by_die.values() {
-            let mut k = 0;
-            while k < idxs.len() {
-                let mut run = Vec::new();
-                for &i in &idxs[k..] {
-                    match self.prepare_combinable(&reqs[i]) {
-                        Some(prepared) => run.push((&reqs[i], prepared)),
-                        None => break,
-                    }
-                }
-                let m = k + run.len();
-                if run.len() >= 2 {
-                    for (slot, reply) in idxs[k..m].iter().zip(self.execute_run(run)) {
-                        slots[*slot] = Some(reply);
-                    }
-                } else if m > k {
-                    slots[idxs[k]] = Some(self.execute(&reqs[idxs[k]]));
-                }
-                // The request that ended the span runs alone, without a
-                // second probe: any span members passed the die-state
-                // checks on this same die, so it failed on its op or its
-                // validation, which running the span cannot change.
-                if let Some(&i) = idxs.get(m) {
-                    slots[i] = Some(self.execute(&reqs[i]));
-                }
-                k = m + 1;
-            }
-        }
-        slots
-            .into_iter()
-            .map(|r| r.expect("every request produced a reply"))
-            .collect()
+        reqs.iter().map(|req| self.execute(req)).collect()
     }
 
     /// The breaker for die id `id`, created closed on first touch.
@@ -550,96 +506,6 @@ impl ShardState {
             }
         }
         self.apply(id, req)
-    }
-
-    /// The program and extra reply fields of `req` when it may join a
-    /// coalesced run: a storage op whose program we can pre-validate, on
-    /// a die without fault injection (an armed die may glitch
-    /// mid-program, and a half-executed combined program could not be
-    /// untangled per-request), whose breaker is closed (open/half-open
-    /// dies go through the per-request gate), and with chaos die-failure
-    /// injection disarmed (the oracle keys on individual seqs, which a
-    /// combined program cannot honor).
-    fn prepare_combinable(&mut self, req: &Request) -> Option<(Program, Json)> {
-        if !matches!(req, Request::Write { .. } | Request::Copy { .. }) {
-            return None;
-        }
-        if self.chaos.is_some_and(|plan| plan.config().die_fail > 0.0) {
-            return None;
-        }
-        let id = req.die().expect("write/copy always carry a die");
-        if !self.breaker(id).is_closed() {
-            return None;
-        }
-        self.ensure_die(id);
-        let die = &self.dies[&id];
-        if die.mc.module().faults_enabled() {
-            return None;
-        }
-        prepare_program(&die.mc, &self.cfg, req).ok()
-    }
-
-    /// Executes a coalesced run of one die's requests, each with the
-    /// program [`ShardState::prepare_combinable`] built for it.
-    fn execute_run(&mut self, run: Vec<(&Request, (Program, Json))>) -> Vec<Reply> {
-        let id = run[0].0.die().expect("runs are die-routed");
-        let members = run.len();
-        let die = self
-            .dies
-            .get_mut(&id)
-            .expect("prepared runs touched their die");
-        let mut combined = Program::builder().build();
-        let mut metas = Vec::with_capacity(members);
-        for (req, (program, extra)) in run {
-            combined.extend_from(&program);
-            let seq = die.seq;
-            die.seq += 1;
-            metas.push((req, seq, extra));
-        }
-        let run = die.mc.run(&combined);
-        let generation = die.generation;
-        self.board
-            .processed
-            .fetch_add(members as u64, Ordering::Relaxed);
-        self.board.batched.fetch_add(1, Ordering::Relaxed);
-        let replies = match run {
-            Ok(_) => {
-                // Equivalent to a per-request `record_success` for each
-                // run member: `prepare_combinable` guaranteed the breaker
-                // was closed, where success only clears the score.
-                self.breaker(id).record_success();
-                metas
-                    .into_iter()
-                    .map(|(req, seq, extra)| Reply {
-                        die: id,
-                        seq,
-                        line: splice(ok_response(req, id, seq, generation), extra).to_string(),
-                    })
-                    .collect()
-            }
-            Err(e) => {
-                // Unreachable for validated storage programs on a
-                // fault-free die; handled anyway so a model regression
-                // degrades the die instead of wedging the shard.
-                let msg = e.to_string();
-                let generation = self.remap(id, &msg);
-                if self.breaker(id).record_failure() {
-                    self.board.breaker_trips.fetch_add(1, Ordering::Relaxed);
-                }
-                metas
-                    .into_iter()
-                    .map(|(req, seq, _)| Reply {
-                        die: id,
-                        seq,
-                        line: error_response(req, id, seq, generation, 500, &msg).to_string(),
-                    })
-                    .collect()
-            }
-        };
-        if self.check_health(id) && self.breaker(id).record_failure() {
-            self.board.breaker_trips.fetch_add(1, Ordering::Relaxed);
-        }
-        replies
     }
 
     /// Auto-remap a die whose accumulated fault events crossed the
@@ -796,10 +662,10 @@ impl ShardState {
     }
 }
 
-/// Builds the (pre-validated) program for a storage request, plus the
-/// extra response fields it earns. Pure in the request and die
-/// geometry/timing, so the batcher and the per-request path produce the
-/// same program.
+/// Validates a storage request (`write` / `copy`) and builds its
+/// controller program, plus the extra response fields it earns. Pure in
+/// the request and die geometry/timing: nothing reaches the die until
+/// the whole request has validated.
 fn prepare_program(
     mc: &MemoryController,
     cfg: &ServeConfig,
@@ -959,49 +825,22 @@ mod tests {
     }
 
     #[test]
-    fn batched_run_matches_per_request_execution() {
-        let cfg = tiny_cfg();
-        let lines = [
-            r#"{"op":"write","die":1,"bank":1,"row":4,"fill":true}"#,
-            r#"{"op":"copy","die":1,"bank":1,"src":4,"dst":9}"#,
-            r#"{"op":"write","die":1,"bank":1,"row":5,"fill":false,"frac":2}"#,
-            r#"{"op":"read","die":1,"bank":1,"row":9}"#,
-        ];
-        let reqs: Vec<Request> = lines.iter().map(|l| Request::parse(l).unwrap()).collect();
-
-        let mut batched = shard(&cfg);
-        let batch_replies = batched.execute_batch(&reqs);
-        let mut serial = shard(&cfg);
-        let serial_replies: Vec<Reply> = reqs.iter().map(|r| serial.execute(r)).collect();
-
-        let render = |rs: &[Reply]| {
-            rs.iter()
-                .map(|r| r.line.clone())
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(render(&batch_replies), render(&serial_replies));
-        assert!(
-            batched.board.batched.load(Ordering::Relaxed) >= 1,
-            "first three requests should coalesce"
-        );
-    }
-
-    #[test]
     fn cross_die_drain_matches_per_request_execution() {
-        // A drain interleaving three dies: each die's requests regroup
-        // and coalesce, yet every reply must be byte-identical to strict
-        // per-request execution and come back at its input position.
+        // A drain interleaving three dies, with write → copy → frac
+        // write → read chains on dies 0 and 1: every reply must be
+        // byte-identical to strict per-request execution and come back
+        // at its input position.
         let cfg = tiny_cfg();
         let lines = [
             r#"{"op":"write","die":0,"bank":0,"row":40,"fill":true}"#,
             r#"{"op":"write","die":1,"bank":1,"row":4,"fill":true}"#,
             r#"{"op":"write","die":0,"bank":0,"row":41,"fill":false}"#,
-            // Fails validation inside die 0's span: it ends the span and
-            // answers 400 on its own.
+            // Fails validation between valid die-0 storage requests and
+            // answers 400 without touching the die.
             r#"{"op":"copy","die":0,"bank":0,"src":41,"dst":41}"#,
             r#"{"op":"copy","die":1,"bank":1,"src":4,"dst":9}"#,
             r#"{"op":"write","die":2,"bank":1,"row":7,"fill":true,"frac":3}"#,
+            r#"{"op":"write","die":1,"bank":1,"row":5,"fill":false,"frac":2}"#,
             r#"{"op":"copy","die":0,"bank":0,"src":40,"dst":44}"#,
             r#"{"op":"write","die":0,"bank":0,"row":42,"fill":true}"#,
             r#"{"op":"read","die":1,"bank":1,"row":9}"#,
@@ -1009,8 +848,8 @@ mod tests {
         ];
         let reqs: Vec<Request> = lines.iter().map(|l| Request::parse(l).unwrap()).collect();
 
-        let mut batched = shard(&cfg);
-        let batch_replies = batched.execute_batch(&reqs);
+        let mut drained = shard(&cfg);
+        let drain_replies = drained.execute_batch(&reqs);
         let mut serial = shard(&cfg);
         let serial_replies: Vec<Reply> = reqs.iter().map(|r| serial.execute(r)).collect();
 
@@ -1020,28 +859,21 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        assert_eq!(render(&batch_replies), render(&serial_replies));
-        let invalid = parse(&batch_replies[3]);
+        assert_eq!(render(&drain_replies), render(&serial_replies));
+        let invalid = parse(&drain_replies[3]);
         assert_eq!(invalid.get("code").unwrap().as_usize(), Some(400));
         assert_eq!(
             invalid.get("error").unwrap().as_str(),
             Some("copy onto itself")
         );
-        // Regrouping coalesces die 0's write/write and copy/write on
-        // either side of the invalid copy, and die 1's write/copy.
         assert_eq!(
-            batched.board.batched.load(Ordering::Relaxed),
-            3,
-            "two combined programs for die 0, one for die 1"
-        );
-        assert_eq!(
-            batched.board.batch_histogram(),
+            drained.board.batch_histogram(),
             {
-                let mut h = vec![0u64; 11];
-                h[10] = 1;
+                let mut h = vec![0u64; 12];
+                h[11] = 1;
                 h
             },
-            "one drain of ten requests"
+            "one drain of eleven requests"
         );
     }
 

@@ -15,8 +15,8 @@
 //!   client;
 //! * each **shard thread** drains its queue in arrival order (up to
 //!   [`ServeConfig::batch`](crate::ServeConfig::batch) requests at a
-//!   time, coalescing storage runs), sheds requests that aged past
-//!   their deadline, executes the rest against its [`ShardState`],
+//!   time), sheds requests that aged past their deadline, executes the
+//!   rest one by one against its [`ShardState`],
 //!   **journals every executed request to its write-ahead log and
 //!   fsyncs once per drain**, and only then replies through the
 //!   per-request back-channel — acknowledge-after-log, so a crash at
@@ -801,7 +801,6 @@ fn status_response(cfg: &ServeConfig, board: &StatusBoard) -> String {
         .field("columns", cfg.columns)
         .field("processed", board.processed.load(Ordering::Relaxed))
         .field("shed", board.shed.load(Ordering::Relaxed))
-        .field("batched", board.batched.load(Ordering::Relaxed))
         .field("deadline_ms", cfg.deadline_ms)
         .field("deadline_shed", board.deadline_shed.load(Ordering::Relaxed))
         .field("io_timeout_ms", cfg.io_timeout_ms)
@@ -856,8 +855,8 @@ fn status_response(cfg: &ServeConfig, board: &StatusBoard) -> String {
 /// Replays a canonical request log against a fresh pool and returns the
 /// response log, sorted by `(die, seq)` — byte-identical to the
 /// [`Recovery::response_log`] of the WAL that journaled that log. Runs
-/// single-threaded with batching and stalls disabled; this *is* the
-/// determinism claim, see DESIGN.md. A config with a chaos
+/// single-threaded, one request at a time, with stalls disabled; this
+/// *is* the determinism claim, see DESIGN.md. A config with a chaos
 /// spec re-injects the same `(die, seq)`-keyed die failures the live
 /// run saw, so chaotic runs replay exactly too.
 ///
