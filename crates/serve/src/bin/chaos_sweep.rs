@@ -262,21 +262,23 @@ fn chaos_round(chaos_seed: u64, density: f64, dir: &Path) -> RoundReport {
     let first = recover(&cfg, dir).expect("recovery");
     let recovery_ns = started.elapsed().as_nanos() as f64;
     let second = recover(&cfg, dir).expect("second recovery");
+    let first_log = first.response_log();
     assert_eq!(
-        first.response_log, second.response_log,
+        first_log,
+        second.response_log(),
         "two recoveries of one WAL diverged"
     );
-    assert_eq!(first.request_log, second.request_log);
+    assert_eq!(first.request_log(), second.request_log());
     assert!(!first.sealed, "a crashed daemon must not leave a seal");
     assert!(first.torn >= 1, "the injected torn tail went unnoticed");
-    let recovered_lines: std::collections::BTreeSet<&str> = first.response_log.lines().collect();
+    let recovered_lines: std::collections::BTreeSet<&str> = first_log.lines().collect();
     for response in acked.iter().filter(|r| r.contains("\"seq\"")) {
         assert!(
             recovered_lines.contains(response.as_str()),
             "acknowledged response lost across kill->recover: {response}"
         );
     }
-    let recovered = first.response_log.lines().count();
+    let recovered = first.entry_count();
 
     // Phase 2: restart from the WAL (start() recovers and compacts),
     // finish the workload, and digest a read-back + verify sweep. The

@@ -204,14 +204,11 @@ fn main() {
             eprintln!("error: recovery failed: {e}");
             std::process::exit(1);
         });
+        let entries = recovery.entry_count();
         eprintln!(
             "fracdram-serve: recovered {} entr{} ({}, {} torn line(s))",
-            recovery.request_log.lines().count(),
-            if recovery.request_log.lines().count() == 1 {
-                "y"
-            } else {
-                "ies"
-            },
+            entries,
+            if entries == 1 { "y" } else { "ies" },
             if recovery.sealed {
                 "sealed"
             } else {
@@ -219,7 +216,7 @@ fn main() {
             },
             recovery.torn
         );
-        write_output("out", &out, &recovery.response_log);
+        write_output("out", &out, &recovery.response_log());
         return;
     }
 
@@ -268,10 +265,10 @@ fn main() {
         std::process::exit(1);
     });
     if let Some(path) = record_requests {
-        write_output("record-requests", &path, &recovery.request_log);
+        write_output("record-requests", &path, &recovery.request_log());
     }
     if let Some(path) = record_responses {
-        write_output("record-responses", &path, &recovery.response_log);
+        write_output("record-responses", &path, &recovery.response_log());
     }
 }
 

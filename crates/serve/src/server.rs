@@ -31,8 +31,9 @@
 //! byte-comparable with a replay.
 //!
 //! Recovery: [`start_on`] with a [`ServeConfig::wal_dir`] holding logs
-//! from a previous incarnation replays them through [`recover`] —
-//! the same single-threaded path as [`run_replay`] — before accepting a
+//! from a previous incarnation replays them through [`recover`] — one
+//! thread per shard, each through the same `ShardState::execute` path
+//! as [`run_replay`]'s single thread — before accepting a
 //! single connection, then compacts the logs (rewritten without the
 //! seal via write-tmp → fsync → rename → fsync-dir, so a crash during
 //! startup never truncates a durable log) and serves from the
@@ -204,84 +205,148 @@ pub struct Recovery {
     pub sealed: bool,
     /// Damaged lines discarded across all shards (torn tails).
     pub torn: usize,
+    /// The replayed reply of every entry, parallel to `entries`.
+    replies: Vec<Vec<Reply>>,
+}
+
+impl Recovery {
+    /// Journaled entries replayed, across all shards.
+    pub fn entry_count(&self) -> usize {
+        self.entries.iter().map(Vec::len).sum()
+    }
+
     /// Canonical request log of everything journaled, sorted by
     /// `(die, seq)`. Feeding it to [`run_replay`] reproduces
-    /// `response_log` byte for byte.
-    pub request_log: String,
-    /// Response log matching `request_log` line for line.
-    pub response_log: String,
+    /// [`Recovery::response_log`] byte for byte.
+    pub fn request_log(&self) -> String {
+        render(self.canonical().map(|(_, entry)| entry.request.as_str()))
+    }
+
+    /// Response log matching [`Recovery::request_log`] line for line.
+    pub fn response_log(&self) -> String {
+        render(self.canonical().map(|(reply, _)| reply.line.as_str()))
+    }
+
+    /// Every replayed reply with its journaled entry, in `(die, seq)`
+    /// order.
+    fn canonical(&self) -> impl Iterator<Item = (&Reply, &WalEntry)> {
+        let mut order: Vec<(&Reply, &WalEntry)> = self
+            .replies
+            .iter()
+            .zip(&self.entries)
+            .flat_map(|(replies, entries)| replies.iter().zip(entries))
+            .collect();
+        order.sort_by_key(|(reply, _)| (reply.die, reply.seq));
+        order.into_iter()
+    }
 }
 
 /// Replays the WAL directory `dir` against a fresh pool, verifying that
-/// every journaled `(die, seq)` reproduces exactly. Read-only: the log
-/// files are not modified (the daemon compacts them separately when it
-/// goes live).
+/// every journaled `(die, seq)` reproduces exactly. Each shard's journal
+/// replays on its own thread (shard 0 on the caller's), as the daemon
+/// serves it: a die lives in exactly one shard and its replies depend
+/// on its own request sequence alone, so the threads share nothing but
+/// a board that only counts. Read-only: the log files are not modified (the daemon compacts them
+/// separately when it goes live). [`run_replay`] is the one-thread
+/// oracle the recovered logs are checked against.
 ///
 /// # Errors
 ///
 /// Returns a message when a log is unreadable, was written under a
 /// different config fingerprint, or replays to a different `(die, seq)`
 /// than it recorded — each means the WAL and the config disagree about
-/// what silicon is being reconstructed.
+/// what silicon is being reconstructed. When several shards fail, the
+/// lowest-numbered shard's error is returned.
+///
+/// # Panics
+///
+/// Re-raises, with its own payload, the panic of a shard's replay.
 pub fn recover(cfg: &ServeConfig, dir: &Path) -> Result<Recovery, String> {
     let shards = cfg.shards.max(1);
     let fingerprint = wal::fingerprint(cfg);
+    // Recovery replays on a throwaway board; the caller re-arms the
+    // states for live serving.
     let board = Arc::new(StatusBoard::for_shards(shards));
+    let replay = |shard| replay_shard(cfg, &wal::shard_path(dir, shard), &fingerprint, &board);
+    let outcomes = std::thread::scope(|scope| {
+        // Shard 0 replays on the calling thread: starting a thread costs
+        // more than replaying a short journal (`chaos_sweep`'s rounds of
+        // at most 48 requests recovered about 25 % slower with a thread
+        // started for every shard).
+        let threads: Vec<_> = (1..shards)
+            .map(|shard| {
+                std::thread::Builder::new()
+                    .name(format!("fracdram-recover-{shard}"))
+                    .spawn_scoped(scope, move || replay(shard))
+                    .expect("spawn recovery thread")
+            })
+            .collect();
+        // A panic in shard 0 unwinds out of the scope with its own
+        // payload once the other shards finish. Otherwise the outcomes
+        // are taken in shard order, so the first failure reported is
+        // the one a shard-by-shard replay would have stopped at.
+        let first = replay(0);
+        std::iter::once(Ok(first))
+            .chain(threads.into_iter().map(|thread| thread.join()))
+            .collect::<Vec<_>>()
+    });
     let mut recovery = Recovery {
         states: Vec::with_capacity(shards),
         entries: Vec::with_capacity(shards),
         sealed: true,
         torn: 0,
-        request_log: String::new(),
-        response_log: String::new(),
+        replies: Vec::with_capacity(shards),
     };
-    // Each reply is tagged with where its journaled request lives, so
-    // the request log is rendered from the entries without a copy.
-    let mut replies: Vec<(Reply, (usize, usize))> = Vec::new();
-    for shard in 0..shards {
-        let path = wal::shard_path(dir, shard);
-        // Recovery replays with stalls disabled (replaying a journaled
-        // `stall` must not sleep) on a throwaway board; the caller
-        // re-arms the states for live serving.
-        let mut state = ShardState::new(cfg.clone(), Arc::clone(&board), false);
-        let shard_log = if path.exists() {
-            wal::read_shard(&path, &fingerprint)?
-        } else {
-            // A shard that never journaled anything: empty and trivially
-            // clean.
-            wal::WalShard {
-                sealed: true,
-                ..wal::WalShard::default()
-            }
-        };
+    for outcome in outcomes {
+        let (state, shard_log, replies) =
+            outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload))?;
         recovery.sealed &= shard_log.sealed;
         recovery.torn += shard_log.torn;
-        for (index, entry) in shard_log.entries.iter().enumerate() {
-            let request = Request::parse(&entry.request)
-                .map_err(|e| format!("{}: journaled request unparsable: {e}", path.display()))?;
-            let reply = state.execute(&request);
-            if reply.die != entry.die || reply.seq != entry.seq {
-                return Err(format!(
-                    "{}: replay diverged — journaled (die {}, seq {}), replayed (die {}, seq {})",
-                    path.display(),
-                    entry.die,
-                    entry.seq,
-                    reply.die,
-                    reply.seq
-                ));
-            }
-            replies.push((reply, (shard, index)));
-        }
         recovery.states.push(state);
         recovery.entries.push(shard_log.entries);
-    }
-    recovery.response_log = render_replies(&mut replies);
-    for &(_, (shard, index)) in &replies {
-        let request = &recovery.entries[shard][index].request;
-        recovery.request_log.push_str(request);
-        recovery.request_log.push('\n');
+        recovery.replies.push(replies);
     }
     Ok(recovery)
+}
+
+/// Replays one shard's journal at `path` on a fresh [`ShardState`]
+/// (stalls disabled: replaying a journaled `stall` must not sleep) and
+/// returns the state, the journal and one reply per entry.
+fn replay_shard(
+    cfg: &ServeConfig,
+    path: &Path,
+    fingerprint: &str,
+    board: &Arc<StatusBoard>,
+) -> Result<(ShardState, wal::WalShard, Vec<Reply>), String> {
+    let mut state = ShardState::new(cfg.clone(), Arc::clone(board), false);
+    let shard_log = if path.exists() {
+        wal::read_shard(path, fingerprint)?
+    } else {
+        // A shard that never journaled anything: empty and trivially
+        // clean.
+        wal::WalShard {
+            sealed: true,
+            ..wal::WalShard::default()
+        }
+    };
+    let mut replies = Vec::with_capacity(shard_log.entries.len());
+    for entry in &shard_log.entries {
+        let request = Request::parse(&entry.request)
+            .map_err(|e| format!("{}: journaled request unparsable: {e}", path.display()))?;
+        let reply = state.execute(&request);
+        if reply.die != entry.die || reply.seq != entry.seq {
+            return Err(format!(
+                "{}: replay diverged — journaled (die {}, seq {}), replayed (die {}, seq {})",
+                path.display(),
+                entry.die,
+                entry.seq,
+                reply.die,
+                reply.seq
+            ));
+        }
+        replies.push(reply);
+    }
+    Ok((state, shard_log, replies))
 }
 
 /// Starts the daemon on `127.0.0.1:port` (0 picks a free port).
@@ -322,8 +387,8 @@ pub fn start_on(cfg: ServeConfig, port: u16) -> std::io::Result<ServerHandle> {
             let existing = (0..shards).any(|s| wal::shard_path(dir, s).exists());
             let recovery = if existing {
                 let recovery = recover(&cfg, dir).map_err(std::io::Error::other)?;
-                let entries: u64 = recovery.entries.iter().map(|e| e.len() as u64).sum();
-                board.recovered.store(entries, Ordering::Relaxed);
+                let entries = recovery.entry_count();
+                board.recovered.store(entries as u64, Ordering::Relaxed);
                 if !recovery.sealed || recovery.torn > 0 {
                     eprintln!(
                         "fracdram-serve: recovered {} WAL entries from an unclean shutdown \
@@ -866,7 +931,7 @@ fn status_response(cfg: &ServeConfig, board: &StatusBoard) -> String {
 pub fn run_replay(cfg: &ServeConfig, requests: &str) -> Result<String, String> {
     let board = Arc::new(StatusBoard::default());
     let mut state = ShardState::new(cfg.clone(), board, false);
-    let mut replies: Vec<(Reply, ())> = Vec::new();
+    let mut replies: Vec<Reply> = Vec::new();
     for (index, line) in requests.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() {
@@ -884,18 +949,17 @@ pub fn run_replay(cfg: &ServeConfig, requests: &str) -> Result<String, String> {
                 cfg.dies
             ));
         }
-        replies.push((state.execute(&request), ()));
+        replies.push(state.execute(&request));
     }
-    Ok(render_replies(&mut replies))
+    replies.sort_by_key(|reply| (reply.die, reply.seq));
+    Ok(render(replies.iter().map(|reply| reply.line.as_str())))
 }
 
-/// Sorts `replies` in place into the canonical `(die, seq)` order and
-/// returns their response lines, one per line.
-fn render_replies<T>(replies: &mut [(Reply, T)]) -> String {
-    replies.sort_by_key(|(reply, _)| (reply.die, reply.seq));
+/// Joins `lines` into one text, each line `\n`-terminated.
+fn render<'a>(lines: impl Iterator<Item = &'a str>) -> String {
     let mut out = String::new();
-    for (reply, _) in replies.iter() {
-        out.push_str(&reply.line);
+    for line in lines {
+        out.push_str(line);
         out.push('\n');
     }
     out
@@ -996,5 +1060,99 @@ mod tests {
             Some(70)
         );
         assert_eq!(status.get("remap_count").and_then(Json::as_usize), Some(70));
+    }
+
+    /// A fresh, empty directory for one recovery test.
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("fracdram-recover-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create WAL dir");
+        dir
+    }
+
+    /// Writes shard `shard`'s log in `dir` under `cfg`'s fingerprint.
+    fn write_shard(dir: &Path, shard: usize, cfg: &ServeConfig, entries: &[WalEntry]) {
+        WalWriter::create(dir, shard, cfg, entries).expect("write shard log");
+    }
+
+    fn recovery_error(cfg: &ServeConfig, dir: &Path) -> String {
+        let err = recover(cfg, dir).err().expect("recovery must fail");
+        let _ = std::fs::remove_dir_all(dir);
+        err
+    }
+
+    #[test]
+    fn recovery_reports_the_first_failing_shard_in_shard_order() {
+        let cfg = ServeConfig {
+            dies: 4,
+            shards: 2,
+            ..ServeConfig::default()
+        };
+        let foreign = ServeConfig {
+            seed: 2,
+            ..cfg.clone()
+        };
+        // Die 0's first replayed seq is 0, never the journaled 3.
+        let diverged = [WalEntry {
+            die: 0,
+            seq: 3,
+            request: r#"{"op":"read","die":0,"bank":1,"row":3}"#.to_string(),
+        }];
+
+        let dir = scratch_dir("both-foreign");
+        write_shard(&dir, 0, &foreign, &[]);
+        write_shard(&dir, 1, &foreign, &[]);
+        let err = recovery_error(&cfg, &dir);
+        assert!(err.contains("wal-shard-0.log"), "{err}");
+        assert!(err.contains("fingerprint"), "{err}");
+
+        let dir = scratch_dir("diverged-then-foreign");
+        write_shard(&dir, 0, &cfg, &diverged);
+        write_shard(&dir, 1, &foreign, &[]);
+        let err = recovery_error(&cfg, &dir);
+        assert!(err.contains("wal-shard-0.log"), "{err}");
+        assert!(err.contains("replay diverged"), "{err}");
+
+        let dir = scratch_dir("shard-1-foreign");
+        write_shard(&dir, 0, &cfg, &[]);
+        write_shard(&dir, 1, &foreign, &[]);
+        let err = recovery_error(&cfg, &dir);
+        assert!(err.contains("wal-shard-1.log"), "{err}");
+    }
+
+    #[test]
+    fn a_panicking_shard_replay_is_re_raised_with_its_payload() {
+        let cfg = ServeConfig {
+            dies: 2,
+            shards: 2,
+            ..ServeConfig::default()
+        };
+        // Shard 0 replays on the calling thread, shard 1 on its own.
+        for bad in 0..2 {
+            let dir = scratch_dir(&format!("panic-{bad}"));
+            // `status` parses but is never die-routed: executing it
+            // panics.
+            let status = [WalEntry {
+                die: bad,
+                seq: 0,
+                request: r#"{"op":"status"}"#.to_string(),
+            }];
+            write_shard(&dir, bad, &cfg, &status);
+            write_shard(&dir, 1 - bad, &cfg, &[]);
+            let payload = std::panic::catch_unwind(|| recover(&cfg, &dir))
+                .err()
+                .expect("the replay panic must reach the caller");
+            let _ = std::fs::remove_dir_all(&dir);
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or_default();
+            assert!(
+                message.contains("only die-routed requests"),
+                "shard {bad}: {message:?}"
+            );
+        }
     }
 }

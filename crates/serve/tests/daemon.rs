@@ -8,7 +8,10 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
 use fracdram_experiments::Json;
-use fracdram_serve::{recover, run_replay, start, Recovery, ServeConfig, ServerHandle};
+use fracdram_serve::{
+    recover, run_replay, start, BreakerConfig, ChaosConfig, ChaosSpec, Recovery, ServeConfig,
+    ServerHandle,
+};
 
 struct Client {
     writer: TcpStream,
@@ -82,14 +85,15 @@ fn check_journal(cfg: &ServeConfig, received: &[String]) -> Recovery {
     let dir = cfg.wal_dir.as_deref().expect("test runs with a WAL");
     let recovery = recover(cfg, dir).expect("recover the journal");
     assert!(recovery.sealed, "a joined daemon leaves a sealed journal");
+    let response_log = recovery.response_log();
     assert_eq!(
-        recovery.response_log,
+        response_log,
         canonical_order(received),
         "the journal must hold exactly the responses sent on the sockets"
     );
-    let replayed = run_replay(cfg, &recovery.request_log).expect("replay");
+    let replayed = run_replay(cfg, &recovery.request_log()).expect("replay");
     assert_eq!(
-        replayed, recovery.response_log,
+        replayed, response_log,
         "replayed response log must be byte-identical"
     );
     let _ = std::fs::remove_dir_all(dir);
@@ -157,7 +161,33 @@ fn replayed_request_log_reproduces_responses_byte_for_byte() {
     assert_eq!(report.shed, 0);
 
     let recovery = check_journal(&cfg, &received);
-    assert_eq!(recovery.request_log.lines().count(), 63);
+    assert_eq!(recovery.request_log().lines().count(), 63);
+}
+
+/// Serves `per_die` requests of the mixed workload on every die of
+/// `cfg` from one client thread per die, joins the daemon, and returns
+/// its journal, checked against the clients and the one-thread replay.
+fn serve_every_die(cfg: &ServeConfig, per_die: usize) -> Recovery {
+    let handle = start(cfg.clone()).expect("start server");
+    let workers: Vec<_> = (0..cfg.dies)
+        .map(|die| {
+            let mut client = Client::connect(&handle);
+            let lines = workload(die, per_die);
+            std::thread::spawn(move || {
+                for line in &lines {
+                    client.send(line);
+                }
+                client.received
+            })
+        })
+        .collect();
+    let mut received = Vec::new();
+    for worker in workers {
+        received.extend(worker.join().expect("client panicked"));
+    }
+    handle.stop();
+    handle.join();
+    check_journal(cfg, &received)
 }
 
 #[test]
@@ -181,29 +211,59 @@ fn concurrent_clients_match_single_client_ground_truth() {
 
     // Same per-die request streams, now from racing client threads.
     let concurrent_cfg = with_fresh_wal(small_cfg(), "concurrent");
-    let concurrent = start(concurrent_cfg.clone()).expect("start concurrent server");
-    let workers: Vec<_> = (0..concurrent_cfg.dies)
-        .map(|die| {
-            let mut client = Client::connect(&concurrent);
-            let lines = workload(die, per_client);
-            std::thread::spawn(move || {
-                for line in &lines {
-                    client.send(line);
-                }
-                client.received
-            })
-        })
-        .collect();
-    let mut concurrent_received = Vec::new();
-    for worker in workers {
-        concurrent_received.extend(worker.join().expect("client panicked"));
-    }
-    concurrent.stop();
-    concurrent.join();
-    let concurrent_log = check_journal(&concurrent_cfg, &concurrent_received);
+    let concurrent_log = serve_every_die(&concurrent_cfg, per_client);
 
-    assert_eq!(concurrent_log.response_log, serial_log.response_log);
-    assert_eq!(concurrent_log.request_log, serial_log.request_log);
+    assert_eq!(concurrent_log.response_log(), serial_log.response_log());
+    assert_eq!(concurrent_log.request_log(), serial_log.request_log());
+}
+
+#[test]
+fn per_shard_recovery_matches_the_one_thread_replay_at_every_shard_count() {
+    let per_die = 14;
+    // 5 dies split unevenly over 2 and 3 shards; 3 dies over 4 shards
+    // leave the last shard's journal empty.
+    for (dies, shards) in [(5, 1), (5, 2), (5, 3), (3, 4)] {
+        let cfg = with_fresh_wal(
+            ServeConfig {
+                dies,
+                shards,
+                ..ServeConfig::default()
+            },
+            &format!("oracle-{dies}x{shards}"),
+        );
+        let recovery = serve_every_die(&cfg, per_die);
+        let per_shard: Vec<usize> = recovery.entries.iter().map(Vec::len).collect();
+        let expected: Vec<usize> = (0..shards)
+            .map(|shard| (0..dies).filter(|die| die % shards == shard).count() * per_die)
+            .collect();
+        assert_eq!(per_shard, expected, "{dies} dies over {shards} shards");
+        assert_eq!(recovery.entry_count(), dies * per_die);
+    }
+}
+
+#[test]
+fn chaotic_per_shard_recovery_matches_the_one_thread_replay() {
+    let cfg = with_fresh_wal(
+        ServeConfig {
+            dies: 5,
+            shards: 3,
+            breaker: BreakerConfig { trip: 1, open: 3 },
+            chaos: Some(ChaosSpec {
+                seed: 11,
+                config: ChaosConfig {
+                    die_fail: 0.2,
+                    ..ChaosConfig::none()
+                },
+            }),
+            ..ServeConfig::default()
+        },
+        "oracle-chaos",
+    );
+    let recovery = serve_every_die(&cfg, 21);
+    assert!(
+        recovery.response_log().contains("\"gen\":1"),
+        "the chaos plan must remap dies during replay"
+    );
 }
 
 #[test]
