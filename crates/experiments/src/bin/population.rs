@@ -389,9 +389,7 @@ fn simulate(
     };
     eprintln!(
         "population: stream done — {} chunk(s), peak {} pending accumulator(s) (bound {})",
-        run.chunks,
-        run.peak_pending,
-        cfg.jobs * 4
+        run.chunks, run.peak_pending, run.window
     );
     (accum, header, digest, records, wall)
 }

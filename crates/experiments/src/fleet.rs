@@ -3,28 +3,31 @@
 //! Every paper-figure binary sweeps groups × modules × sub-arrays ×
 //! configurations; each cell of that sweep is self-contained (one
 //! [`fracdram_softmc::MemoryController`] owning one simulated
-//! [`fracdram_model::Module`], sharing nothing). The fleet fans those
-//! cells out over a worker thread pool and merges the results **in plan
-//! order**, so the rendered figure is byte-identical at any `--jobs`
-//! count:
+//! [`fracdram_model::Module`], sharing nothing), and the population
+//! studies stream millions of such dies. One engine runs both: workers
+//! claim numbered units from an atomic cursor, run each under
+//! `catch_unwind`, and the calling thread merges the
+//! outcomes **in unit order**, so the result is byte-identical at any
+//! `--jobs` count. It has two entry points:
 //!
-//! - the work plan is an explicit `Vec<TaskKey>` built up front;
-//! - each task derives its own seed from the base seed and its
-//!   coordinates ([`task_seed`]) instead of consuming a shared RNG;
-//! - workers claim tasks from an atomic cursor and write results into
-//!   the task's own plan slot — merge order never depends on thread
-//!   scheduling.
+//! - [`run_with`] runs an explicit `Vec<TaskKey>` plan, one task per
+//!   unit, with seeds from [`task_seed`], a [`FleetPolicy`] for retries
+//!   and fail-fast, and one [`TaskReport`] kept per task;
+//! - [`run_stream`] folds index ranges (chunks) with seeds from
+//!   [`item_seed`] and merges accumulators as they arrive; a claim
+//!   window bounds how far workers run ahead of the merge, so memory
+//!   stays bounded at any population size.
 //!
 //! Observability: per-task wall time, per-task and aggregated
-//! [`CycleStats`] from each task's controller, a progress line on
-//! stderr as tasks complete, and an optional structured JSON dump
+//! [`CycleStats`] from each task's controller, progress lines on
+//! stderr as units merge, and an optional structured JSON dump
 //! (`--json PATH`) for tracking benchmark trajectories across PRs.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -167,6 +170,21 @@ pub struct TaskFailure {
     pub attempt: u32,
     /// Panic payload or typed-error message.
     pub message: String,
+}
+
+impl TaskFailure {
+    /// The report of a task that ended in this failure.
+    fn into_report<T>(self, wall: Duration) -> TaskReport<T> {
+        TaskReport {
+            key: self.key,
+            seed: self.seed,
+            attempt: self.attempt,
+            result: Err(self),
+            stats: CycleStats::default(),
+            perf: ModelPerf::default(),
+            wall,
+        }
+    }
 }
 
 impl fmt::Display for TaskFailure {
@@ -437,18 +455,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         "panicked with a non-string payload".to_string()
     }
 }
-
-/// Runs `task` over every key in `plan` on `jobs` worker threads and
-/// merges the reports in plan order, with the default fail-fast,
-/// no-retry policy. See [`run_with`].
-pub fn run<T, F>(plan: &[TaskKey], base_seed: u64, jobs: usize, task: F) -> FleetRun<T>
-where
-    T: Send,
-    F: Fn(&TaskKey, u64) -> (T, RunMetrics) + Sync,
-{
-    run_with(plan, base_seed, jobs, FleetPolicy::fail_fast(), task)
-}
-
 /// Runs `task` over every key in `plan` on `jobs` worker threads and
 /// merges the reports in plan order, containing failures per `policy`.
 ///
@@ -461,8 +467,8 @@ where
 /// reports because tasks share nothing and every task's randomness
 /// derives from [`task_seed`].
 ///
-/// A panicking task is caught (`catch_unwind`), optionally retried with
-/// seed `task_seed ^ attempt` up to `policy.retries` extra times, and
+/// A panicking task is caught, optionally retried with seed
+/// `task_seed ^ attempt` up to `policy.retries` extra times, and
 /// recorded as a [`TaskFailure`] carrying its key, final seed, attempt,
 /// and panic message. Under [`FailureMode::FailFast`] the fleet stops
 /// claiming new tasks after the first recorded failure and reports the
@@ -470,6 +476,10 @@ where
 /// planned task still runs. Either way the merge stays in plan order,
 /// so reports are identical at any job count (modulo which tasks a
 /// fail-fast stop happens to skip).
+///
+/// Each task is one unit of the engine behind [`run_stream`], with a
+/// claim window spanning the whole plan: every report is kept anyway,
+/// so a slow task at the head of the plan never holds back the others.
 ///
 /// Progress lines go to stderr; stdout stays reserved for figure
 /// output so rendered figures are byte-identical at any job count.
@@ -488,128 +498,64 @@ where
     T: Send,
     F: Fn(&TaskKey, u64) -> (T, RunMetrics) + Sync,
 {
-    assert!(jobs > 0, "fleet needs at least one worker");
     let started = Instant::now();
-    let cursor = AtomicUsize::new(0);
-    let done = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-    let slots: Vec<Mutex<Option<TaskReport<T>>>> = plan.iter().map(|_| Mutex::new(None)).collect();
-    let workers = jobs.min(plan.len()).max(1);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                // Per-worker materialize cache: consecutive tasks on this
-                // worker donate their per-chip caches forward (same-die
-                // tasks then skip the rebuild entirely). Values cannot
-                // change — buffers survive adoption only for the same die
-                // seed and are pure in it — so any job count merges the
-                // same bytes; only wall time and `cache_share_hits` move.
-                crate::setup::arm_cache_pool();
-                loop {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(key) = plan.get(index) else {
-                        break;
-                    };
-                    let base = task_seed(base_seed, key);
-                    let task_started = Instant::now();
-                    let mut attempt: u32 = 0;
-                    let outcome = loop {
-                        let seed = base ^ u64::from(attempt);
-                        match catch_unwind(AssertUnwindSafe(|| task(key, seed))) {
-                            Ok(ok) => break Ok((seed, ok)),
-                            Err(payload) => {
-                                let message = panic_message(payload);
-                                if attempt >= policy.retries {
-                                    break Err(TaskFailure {
-                                        key: *key,
-                                        seed,
-                                        attempt,
-                                        message,
-                                    });
-                                }
-                                eprintln!(
-                                    "fleet: {key} attempt {attempt} failed ({message}); retrying"
-                                );
-                                attempt += 1;
-                            }
-                        }
-                    };
-                    let wall = task_started.elapsed();
-                    let report = match outcome {
-                        Ok((seed, (value, metrics))) => TaskReport {
-                            key: *key,
-                            seed,
-                            attempt,
-                            result: Ok(value),
-                            stats: metrics.cycles,
-                            perf: metrics.model,
-                            wall,
-                        },
-                        Err(failure) => {
-                            eprintln!("fleet: {failure}");
-                            if policy.mode == FailureMode::FailFast {
-                                stop.store(true, Ordering::Relaxed);
-                            }
-                            TaskReport {
-                                key: *key,
-                                seed: failure.seed,
-                                attempt,
-                                result: Err(failure),
-                                stats: CycleStats::default(),
-                                perf: ModelPerf::default(),
-                                wall,
-                            }
-                        }
-                    };
-                    // A panic inside `task` cannot poison these mutexes (the
-                    // lock is never held across the task), but a defensive
-                    // recover keeps one broken slot from cascading into a
-                    // fleet-wide abort.
-                    *slots[index].lock().unwrap_or_else(PoisonError::into_inner) = Some(report);
-                    let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    eprintln!(
-                        "fleet: [{finished}/{}] {key}  {:.1}ms",
-                        plan.len(),
-                        wall.as_secs_f64() * 1e3
-                    );
-                }
-                crate::setup::disarm_cache_pool();
-            });
-        }
-    });
-
-    let tasks = slots
-        .into_iter()
-        .enumerate()
-        .map(|(index, slot)| {
-            slot.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .unwrap_or_else(|| {
-                    // Only reachable when a fail-fast stop kept the task
-                    // from being claimed.
-                    let key = plan[index];
-                    let seed = task_seed(base_seed, &key);
-                    TaskReport {
+    let mut tasks = Vec::with_capacity(plan.len());
+    let (workers, _, _) = engine(
+        plan.len() as u64,
+        jobs,
+        plan.len().max(1),
+        policy,
+        |index, attempt| {
+            let key = &plan[index as usize];
+            task(key, task_seed(base_seed, key) ^ u64::from(attempt))
+        },
+        |index, unit: Unit<(T, RunMetrics)>| {
+            let key = plan[index as usize];
+            let attempt = unit.retried.len() as u32;
+            let seed = task_seed(base_seed, &key) ^ u64::from(attempt);
+            for (earlier, message) in unit.retried.iter().enumerate() {
+                eprintln!("fleet: {key} attempt {earlier} failed ({message}); retrying");
+            }
+            tasks.push(match unit.result {
+                Ok((value, metrics)) => TaskReport {
+                    key,
+                    seed,
+                    attempt,
+                    result: Ok(value),
+                    stats: metrics.cycles,
+                    perf: metrics.model,
+                    wall: unit.wall,
+                },
+                Err(message) => {
+                    let failure = TaskFailure {
                         key,
                         seed,
-                        attempt: 0,
-                        result: Err(TaskFailure {
-                            key,
-                            seed,
-                            attempt: 0,
-                            message: "skipped: fleet stopped after an earlier failure".to_string(),
-                        }),
-                        stats: CycleStats::default(),
-                        perf: ModelPerf::default(),
-                        wall: Duration::ZERO,
-                    }
-                })
-        })
-        .collect();
+                        attempt,
+                        message,
+                    };
+                    eprintln!("fleet: {failure}");
+                    failure.into_report(unit.wall)
+                }
+            });
+            eprintln!(
+                "fleet: [{}/{}] {key}  {:.1}ms",
+                index + 1,
+                plan.len(),
+                unit.wall.as_secs_f64() * 1e3
+            );
+        },
+    );
+    // The merged tasks are a prefix of the plan; only a fail-fast stop
+    // leaves a suffix unclaimed.
+    tasks.extend(plan[tasks.len()..].iter().map(|&key| {
+        let failure = TaskFailure {
+            key,
+            seed: task_seed(base_seed, &key),
+            attempt: 0,
+            message: "skipped: fleet stopped after an earlier failure".to_string(),
+        };
+        failure.into_report(Duration::ZERO)
+    }));
     FleetRun {
         tasks,
         jobs: workers,
@@ -669,8 +615,11 @@ pub struct StreamRun<A> {
     pub result: Option<A>,
     /// Number of chunks the plan was cut into.
     pub chunks: u64,
-    /// Worker threads used.
+    /// Worker threads spawned (at most one per chunk).
     pub jobs: usize,
+    /// Claim window the run used: [`StreamConfig::window`], or
+    /// `4 × jobs` when that was 0.
+    pub window: usize,
     /// Base seed the per-item seeds derive from.
     pub base_seed: u64,
     /// Chunks that panicked (their accumulators are missing from the
@@ -699,9 +648,9 @@ pub struct StreamRun<A> {
 ///
 /// Memory: workers may claim a chunk only while it is within
 /// `cfg.window` chunks of the merge frontier (a claim past the window
-/// blocks on a condvar until the reducer catches up), so resident state
-/// is bounded by `window + jobs` accumulators regardless of how many
-/// billions of items stream through.
+/// blocks until the reducer catches up), so resident state is bounded
+/// by `window + jobs` accumulators regardless of how many billions of
+/// items stream through.
 ///
 /// A panicking chunk is caught, recorded as a [`ChunkFailure`], and
 /// treated as merged (so the frontier advances and no worker
@@ -718,63 +667,154 @@ where
     F: Fn(u64, std::ops::Range<u64>) -> A + Sync,
     M: FnMut(&mut A, A),
 {
-    assert!(cfg.jobs > 0, "stream needs at least one worker");
     assert!(cfg.chunk > 0, "stream needs a nonzero chunk size");
     let started = Instant::now();
     let chunks = cfg.items.div_ceil(cfg.chunk);
-    let window = if cfg.window == 0 {
-        cfg.jobs * 4
-    } else {
-        cfg.window
-    } as u64;
-    let cursor = AtomicU64::new(0);
-    let stop = AtomicBool::new(false);
-    // The merge frontier: chunks `< floor` have been handed to the
-    // reducer in order. Workers block before *claiming* a chunk beyond
-    // `floor + window`, which is what bounds resident accumulators.
-    let frontier = Mutex::new(0u64);
-    let frontier_moved = Condvar::new();
-    let (sender, receiver) = mpsc::channel::<(u64, Result<A, String>)>();
-
     let mut result: Option<A> = None;
     let mut failures = Vec::new();
+    let (workers, window, peak_pending) = engine(
+        chunks,
+        cfg.jobs,
+        cfg.window,
+        FleetPolicy::fail_fast(),
+        |index, _| {
+            let lo = index * cfg.chunk;
+            fold_chunk(index, lo..(lo + cfg.chunk).min(cfg.items))
+        },
+        |index, unit| {
+            match unit.result {
+                Ok(acc) => match result.as_mut() {
+                    Some(total) => merge(total, acc),
+                    None => result = Some(acc),
+                },
+                Err(message) => {
+                    let failure = ChunkFailure {
+                        chunk: index,
+                        message,
+                    };
+                    eprintln!("fleet: stream {failure}");
+                    failures.push(failure);
+                }
+            }
+            let merged = index + 1;
+            if merged.is_multiple_of(64) || merged == chunks {
+                eprintln!("fleet: stream [{merged}/{chunks}] chunks merged");
+            }
+        },
+    );
+    StreamRun {
+        result,
+        chunks,
+        jobs: workers,
+        window,
+        base_seed: cfg.base_seed,
+        failures,
+        peak_pending,
+        wall: started.elapsed(),
+    }
+}
+
+/// One unit's outcome, handed to the merge in ascending unit order.
+struct Unit<A> {
+    /// The value, or the final attempt's panic message.
+    result: Result<A, String>,
+    /// Panic messages of the attempts that were retried, oldest first;
+    /// their count is the final attempt's index.
+    retried: Vec<String>,
+    /// Wall time over every attempt.
+    wall: Duration,
+}
+
+/// The fleet's one worker loop, behind both [`run_with`] and
+/// [`run_stream`].
+///
+/// Workers claim units `0..units` from an atomic cursor and run
+/// `work(unit, attempt)` under `catch_unwind`, retrying a panicking unit
+/// up to `policy.retries` times. A claim waits while the unit lies
+/// `window` or more units past the merge frontier (`0` = `4 × jobs`).
+/// The calling thread buffers finished units and hands them to `merge`
+/// in ascending unit order, advancing the frontier as it goes.
+///
+/// A unit's final failure under [`FailureMode::FailFast`] stops new
+/// claims. Only a worker parked at the claim gate abandons the unit it
+/// claimed, so with a window spanning every unit the merged units are
+/// exactly the claimed prefix.
+///
+/// Returns the workers spawned, the claim window used and the peak
+/// number of finished units held pending their merge.
+fn engine<A: Send>(
+    units: u64,
+    jobs: usize,
+    window: usize,
+    policy: FleetPolicy,
+    work: impl Fn(u64, u32) -> A + Sync,
+    mut merge: impl FnMut(u64, Unit<A>),
+) -> (usize, usize, usize) {
+    assert!(jobs > 0, "fleet needs at least one worker");
+    let window = if window == 0 { jobs * 4 } else { window };
+    let reach = window as u64;
+    let workers = units.clamp(1, jobs as u64) as usize;
+    let cursor = AtomicU64::new(0);
+    let stop = AtomicBool::new(false);
+    // The merge frontier: units `< floor` have been handed to `merge`.
+    let frontier = Mutex::new(0u64);
+    let frontier_moved = Condvar::new();
+    let (sender, receiver) = mpsc::channel::<(u64, Unit<A>)>();
     let mut peak_pending = 0usize;
 
     std::thread::scope(|scope| {
-        for _ in 0..cfg.jobs.min(chunks.max(1) as usize) {
+        for _ in 0..workers {
             let sender = sender.clone();
             scope.spawn(|| {
-                let sender = sender; // move the clone, borrow the rest
+                // Move the clone, borrow the rest.
+                let sender = sender;
+                // Per-worker materialize cache: consecutive units on this
+                // worker donate their per-chip caches forward (same-die
+                // units then skip the rebuild entirely). Values cannot
+                // change — buffers survive adoption only for the same die
+                // seed and are pure in it — so any job count merges the
+                // same bytes; only wall time and `cache_share_hits` move.
                 crate::setup::arm_cache_pool();
-                loop {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
+                while !stop.load(Ordering::Relaxed) {
                     let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    if index >= chunks {
+                    if index >= units {
                         break;
                     }
-                    // Claim gate: wait until this chunk is inside the
+                    // Claim gate: wait until this unit is inside the
                     // window above the merge frontier.
-                    {
-                        let mut floor = frontier.lock().unwrap_or_else(PoisonError::into_inner);
-                        while index >= *floor + window && !stop.load(Ordering::Relaxed) {
-                            floor = frontier_moved
-                                .wait(floor)
-                                .unwrap_or_else(PoisonError::into_inner);
+                    let mut floor = frontier.lock().unwrap_or_else(PoisonError::into_inner);
+                    while index >= *floor + reach && !stop.load(Ordering::Relaxed) {
+                        floor = frontier_moved
+                            .wait(floor)
+                            .unwrap_or_else(PoisonError::into_inner);
+                    }
+                    if index >= *floor + reach {
+                        break; // parked until a stop released it
+                    }
+                    drop(floor);
+                    let started = Instant::now();
+                    let mut retried = Vec::new();
+                    let result = loop {
+                        let attempt = retried.len() as u32;
+                        match catch_unwind(AssertUnwindSafe(|| work(index, attempt))) {
+                            Ok(value) => break Ok(value),
+                            Err(payload) if attempt < policy.retries => {
+                                retried.push(panic_message(payload))
+                            }
+                            Err(payload) => {
+                                if policy.mode == FailureMode::FailFast {
+                                    stop.store(true, Ordering::Relaxed);
+                                }
+                                break Err(panic_message(payload));
+                            }
                         }
-                    }
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let lo = index * cfg.chunk;
-                    let hi = (lo + cfg.chunk).min(cfg.items);
-                    let outcome = catch_unwind(AssertUnwindSafe(|| fold_chunk(index, lo..hi)))
-                        .map_err(|payload| {
-                            stop.store(true, Ordering::Relaxed);
-                            panic_message(payload)
-                        });
-                    if sender.send((index, outcome)).is_err() {
+                    };
+                    let unit = Unit {
+                        result,
+                        retried,
+                        wall: started.elapsed(),
+                    };
+                    if sender.send((index, unit)).is_err() {
                         break;
                     }
                 }
@@ -786,55 +826,22 @@ where
         }
         drop(sender);
 
-        // In-order reducer (runs on the calling thread): buffer
-        // out-of-order chunks, merge the contiguous prefix, advance the
-        // frontier, and release parked workers.
-        let mut pending: BTreeMap<u64, Result<A, String>> = BTreeMap::new();
+        let mut pending = BTreeMap::new();
         let mut next = 0u64;
-        let mut merged = 0u64;
-        for (index, outcome) in receiver.iter() {
-            pending.insert(index, outcome);
+        for (index, unit) in receiver.iter() {
+            pending.insert(index, unit);
             peak_pending = peak_pending.max(pending.len());
-            while let Some(outcome) = pending.remove(&next) {
-                match outcome {
-                    Ok(acc) => match result.as_mut() {
-                        Some(total) => merge(total, acc),
-                        None => result = Some(acc),
-                    },
-                    Err(message) => {
-                        let failure = ChunkFailure {
-                            chunk: next,
-                            message,
-                        };
-                        eprintln!("fleet: stream {failure}");
-                        failures.push(failure);
-                    }
-                }
+            while let Some(unit) = pending.remove(&next) {
+                merge(next, unit);
                 next += 1;
-                merged += 1;
                 *frontier.lock().unwrap_or_else(PoisonError::into_inner) = next;
                 frontier_moved.notify_all();
-                if merged.is_multiple_of(64) || merged == chunks {
-                    eprintln!("fleet: stream [{merged}/{chunks}] chunks merged");
-                }
             }
         }
-        // A fail-fast stop can leave claimed-but-unmerged successors in
-        // the buffer; they were produced, so merge order is still
-        // ascending over whatever completed. Anything after the failed
-        // chunk is dropped (the caller treats failures as fatal).
-        drop(pending);
+        // A stop can leave units whose predecessor was abandoned at the
+        // claim gate in `pending`; they are dropped unmerged.
     });
-
-    StreamRun {
-        result,
-        chunks,
-        jobs: cfg.jobs,
-        base_seed: cfg.base_seed,
-        failures,
-        peak_pending,
-        wall: started.elapsed(),
-    }
+    (workers, window, peak_pending)
 }
 
 #[cfg(test)]
@@ -856,7 +863,7 @@ mod tests {
     #[test]
     fn merge_preserves_plan_order() {
         let plan = plan();
-        let run = run(&plan, 7, 4, |key, seed| {
+        let run = run_with(&plan, 7, 4, FleetPolicy::default(), |key, seed| {
             (
                 (key.module * 10 + key.subarray, seed),
                 RunMetrics::default(),
@@ -880,8 +887,8 @@ mod tests {
             let noise: Vec<u64> = (0..16).map(|_| rng.next_u64()).collect();
             ((key.variant, noise), RunMetrics::default())
         };
-        let serial = run(&plan, 42, 1, task);
-        let parallel = run(&plan, 42, 8, task);
+        let serial = run_with(&plan, 42, 1, FleetPolicy::default(), task);
+        let parallel = run_with(&plan, 42, 8, FleetPolicy::default(), task);
         let a: Vec<_> = serial.values().collect();
         let b: Vec<_> = parallel.values().collect();
         assert_eq!(a, b);
@@ -904,7 +911,7 @@ mod tests {
     #[test]
     fn stats_aggregate_across_tasks() {
         let plan = plan();
-        let run = run(&plan, 1, 2, |_, _| {
+        let run = run_with(&plan, 1, 2, FleetPolicy::default(), |_, _| {
             let metrics = RunMetrics {
                 cycles: CycleStats {
                     commands: 3,
@@ -924,7 +931,7 @@ mod tests {
     #[test]
     fn perf_counters_surface_in_summary_and_json() {
         let plan = plan();
-        let run = run(&plan, 1, 2, |_, _| {
+        let run = run_with(&plan, 1, 2, FleetPolicy::default(), |_, _| {
             let metrics = RunMetrics {
                 model: ModelPerf {
                     share_events: 2,
@@ -1034,7 +1041,7 @@ mod tests {
         let dir = std::env::temp_dir().join("fracdram_fleet_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("dump.json");
-        let run = run(&plan()[..2], 1, 1, |key, _| {
+        let run = run_with(&plan()[..2], 1, 1, FleetPolicy::default(), |key, _| {
             (key.subarray as f64, RunMetrics::default())
         });
         run.write_json("unit", path.to_str().unwrap(), |v| Json::from(*v))
@@ -1049,7 +1056,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one worker")]
     fn zero_jobs_panics() {
-        let _ = run(&plan(), 0, 0, |_, _| ((), RunMetrics::default()));
+        let _ = run_with(&plan(), 0, 0, FleetPolicy::default(), |_, _| {
+            ((), RunMetrics::default())
+        });
     }
 
     /// The key for the task that the poisoned-fleet tests blow up.
@@ -1123,6 +1132,68 @@ mod tests {
         }
         let summary = fleet.summary();
         assert!(summary.contains("FAILED"), "{summary}");
+    }
+
+    /// A slow task at the head of the plan must not hold back the other
+    /// workers: task 0 waits until every other task has finished, which
+    /// a claim window narrower than the plan would never allow.
+    #[test]
+    fn a_slow_head_task_does_not_stall_the_plan() {
+        let mut plan = plan(); // 12 tasks
+        for variant in 1..9 {
+            plan.push(plan[0].with_variant(variant));
+        }
+        let others_done = std::sync::atomic::AtomicUsize::new(0);
+        let fleet = run_with(&plan, 3, 2, FleetPolicy::default(), |key, _| {
+            if *key == plan[0] {
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while others_done.load(Ordering::SeqCst) < plan.len() - 1 {
+                    assert!(
+                        Instant::now() < deadline,
+                        "the head task was never overtaken"
+                    );
+                    std::thread::yield_now();
+                }
+            } else {
+                others_done.fetch_add(1, Ordering::SeqCst);
+            }
+            ((), RunMetrics::default())
+        });
+        assert_eq!(fleet.failed(), 0);
+        assert_eq!(fleet.tasks.len(), plan.len());
+    }
+
+    /// Fail-fast on several workers: everything before the poison in
+    /// plan order ran, the poison's failure is exact, and anything else
+    /// that did not run says so.
+    #[test]
+    fn fail_fast_keeps_the_prefix_and_the_exact_failure() {
+        let plan = plan();
+        let poison_index = plan.iter().position(|k| *k == poison_key()).unwrap();
+        for retries in [0, 2] {
+            let policy = FleetPolicy::fail_fast().with_retries(retries);
+            let fleet = run_with(&plan, 9, 4, policy, poisoned_task);
+            assert_eq!(fleet.tasks.len(), plan.len());
+            for report in &fleet.tasks[..poison_index] {
+                assert!(report.ok().is_some(), "{:?}", report.failure());
+            }
+            let seed = task_seed(9, &poison_key()) ^ u64::from(retries);
+            let expected = TaskFailure {
+                key: poison_key(),
+                seed,
+                attempt: retries,
+                message: format!(
+                    "panicked: injected poison at {} (seed {seed})",
+                    poison_key()
+                ),
+            };
+            assert_eq!(fleet.tasks[poison_index].failure(), Some(&expected));
+            for report in &fleet.tasks[poison_index + 1..] {
+                if let Some(failure) = report.failure() {
+                    assert!(failure.message.contains("skipped"), "{failure}");
+                }
+            }
+        }
     }
 
     #[test]

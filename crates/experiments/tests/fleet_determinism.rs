@@ -3,7 +3,7 @@
 
 use fracdram::fmaj::FmajConfig;
 use fracdram::rowsets::Quad;
-use fracdram_experiments::{fleet, setup, task_seed, tasks, TaskKey};
+use fracdram_experiments::{fleet, setup, task_seed, tasks, FleetPolicy, TaskKey};
 use fracdram_model::{GroupId, SubarrayAddr};
 use fracdram_stats::rng::Rng;
 
@@ -40,8 +40,8 @@ fn real_measurement_identical_at_jobs_1_and_8() {
     let plan = plan();
     let trials = 3;
     let task = |key: &TaskKey, seed: u64| stability_task(key, seed, trials);
-    let serial = fleet::run(&plan, 99, 1, task);
-    let parallel = fleet::run(&plan, 99, 8, task);
+    let serial = fleet::run_with(&plan, 99, 1, FleetPolicy::default(), task);
+    let parallel = fleet::run_with(&plan, 99, 8, FleetPolicy::default(), task);
 
     assert_eq!(serial.tasks.len(), parallel.tasks.len());
     for (a, b) in serial.tasks.iter().zip(&parallel.tasks) {
@@ -59,7 +59,7 @@ fn real_measurement_identical_at_jobs_1_and_8() {
 #[test]
 fn task_seeds_depend_only_on_base_seed_and_key() {
     let plan = plan();
-    let run = fleet::run(&plan, 5, 4, |key, seed| {
+    let run = fleet::run_with(&plan, 5, 4, FleetPolicy::default(), |key, seed| {
         assert_eq!(seed, task_seed(5, key));
         ((), fracdram_softmc::RunMetrics::default())
     });

@@ -44,7 +44,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -256,7 +256,8 @@ impl Recovery {
 /// different config fingerprint, or replays to a different `(die, seq)`
 /// than it recorded — each means the WAL and the config disagree about
 /// what silicon is being reconstructed. When several shards fail, the
-/// lowest-numbered shard's error is returned.
+/// lowest-numbered shard's error is returned; a shard stops replaying
+/// as soon as a lower-numbered one has failed.
 ///
 /// # Panics
 ///
@@ -267,7 +268,19 @@ pub fn recover(cfg: &ServeConfig, dir: &Path) -> Result<Recovery, String> {
     // Recovery replays on a throwaway board; the caller re-arms the
     // states for live serving.
     let board = Arc::new(StatusBoard::for_shards(shards));
-    let replay = |shard| replay_shard(cfg, &wal::shard_path(dir, shard), &fingerprint, &board);
+    // The lowest shard that has failed so far: shards above it stop
+    // early, since its error (or a lower one) is the one reported.
+    let failed = AtomicUsize::new(usize::MAX);
+    let replay = |shard| {
+        let path = wal::shard_path(dir, shard);
+        let outcome = replay_shard(cfg, &path, &fingerprint, &board, || {
+            failed.load(Ordering::Relaxed) < shard
+        });
+        if outcome.is_err() {
+            failed.fetch_min(shard, Ordering::Relaxed);
+        }
+        outcome
+    };
     let outcomes = std::thread::scope(|scope| {
         // Shard 0 replays on the calling thread: starting a thread costs
         // more than replaying a short journal (`chaos_sweep`'s rounds of
@@ -311,12 +324,15 @@ pub fn recover(cfg: &ServeConfig, dir: &Path) -> Result<Recovery, String> {
 
 /// Replays one shard's journal at `path` on a fresh [`ShardState`]
 /// (stalls disabled: replaying a journaled `stall` must not sleep) and
-/// returns the state, the journal and one reply per entry.
+/// returns the state, the journal and one reply per entry. Gives up
+/// before the next entry once `superseded` says a lower-numbered
+/// shard has already failed.
 fn replay_shard(
     cfg: &ServeConfig,
     path: &Path,
     fingerprint: &str,
     board: &Arc<StatusBoard>,
+    superseded: impl Fn() -> bool,
 ) -> Result<(ShardState, wal::WalShard, Vec<Reply>), String> {
     let mut state = ShardState::new(cfg.clone(), Arc::clone(board), false);
     let shard_log = if path.exists() {
@@ -331,6 +347,12 @@ fn replay_shard(
     };
     let mut replies = Vec::with_capacity(shard_log.entries.len());
     for entry in &shard_log.entries {
+        if superseded() {
+            return Err(format!(
+                "{}: replay stopped after a lower shard failed",
+                path.display()
+            ));
+        }
         let request = Request::parse(&entry.request)
             .map_err(|e| format!("{}: journaled request unparsable: {e}", path.display()))?;
         let reply = state.execute(&request);
@@ -1119,6 +1141,43 @@ mod tests {
         write_shard(&dir, 1, &foreign, &[]);
         let err = recovery_error(&cfg, &dir);
         assert!(err.contains("wal-shard-1.log"), "{err}");
+    }
+
+    #[test]
+    fn a_shard_replay_stops_once_a_lower_shard_has_failed() {
+        let cfg = ServeConfig {
+            dies: 1,
+            shards: 1,
+            ..ServeConfig::default()
+        };
+        let entries: Vec<WalEntry> = (0..3)
+            .map(|seq| WalEntry {
+                die: 0,
+                seq,
+                request: r#"{"op":"read","die":0,"bank":1,"row":3}"#.to_string(),
+            })
+            .collect();
+        let dir = scratch_dir("superseded");
+        write_shard(&dir, 0, &cfg, &entries);
+        let path = wal::shard_path(&dir, 0);
+        let fingerprint = wal::fingerprint(&cfg);
+        // Executed entries before the lower shard's failure shows up:
+        // all of them, none, and one.
+        for (stop_after, executed) in [(u64::MAX, 3), (0, 0), (1, 1)] {
+            let board = Arc::new(StatusBoard::for_shards(1));
+            let outcome = replay_shard(&cfg, &path, &fingerprint, &board, || {
+                board.processed.load(Ordering::Relaxed) >= stop_after
+            });
+            assert_eq!(board.processed.load(Ordering::Relaxed), executed);
+            match outcome {
+                Ok((_, _, replies)) => assert_eq!(replies.len(), 3),
+                Err(err) => {
+                    assert!(executed < 3, "{err}");
+                    assert!(err.contains("lower shard failed"), "{err}");
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
